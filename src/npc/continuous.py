@@ -9,10 +9,14 @@ Two backends evolve a hidden state h across the action sequence's span:
   a natural cubic spline U(t); dh/dt = F(h, t) dU/dt where F maps the
   state to an H x (D_u + 1) matrix, bounded by a final tanh.
 
-Both are integrated by the fixed-step solvers on the tape, so gradients
-flow into the actions (through the spline for the cde) and into the phi
-parameters.  States are (B, H); interval times may be shared floats or
-per-series (B, 1) arrays.
+Each backend has one integration path: one interval is one
+integrate_span call, evolve repeats it over the window and commit_step is
+the same call on the first interval.  The cde evaluates its spline
+derivative once per call, as one weight matrix over every stage time the
+solver will visit (odesolve.span_steps lists them).  Gradients flow into
+the actions (through the spline for the cde) and into the phi parameters.
+States are (B, H); interval times may be shared floats or per-series
+(B, 1) arrays.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .layers import GRUCell, Linear, MLP
-from .odesolve import BlowupError, integrate_span
+from .odesolve import integrate_span, span_steps
 from .spline import CubicPath
 
 BACKENDS = ("ode_rnn", "cde")
@@ -111,7 +115,7 @@ class ContinuousModel:
     def readout(self, store, h):
         return self.readout_layer.apply(store, h)
 
-    # -- window evolution ------------------------------------------------------
+    # -- integration -----------------------------------------------------------
 
     def evolve(self, store, h0, seq, substeps=10, method="rk4"):
         """Evolve h across the whole action window.
@@ -119,111 +123,13 @@ class ContinuousModel:
         h0: Node or array (B, H) at seq.anchor_times[0].  Returns a
         HiddenTrajectory with one post-transition state per horizon.
         """
-        if self.cfg.backend == "ode_rnn":
-            return self._evolve_ode_rnn(store, h0, seq, substeps, method)
-        return self._evolve_cde(store, h0, seq, substeps, method)
-
-    def _interval_times(self, seq, k):
-        times = seq.anchor_times
-        if times.ndim == 1:
-            return float(times[k]), float(times[k + 1])
-        return times[:, k : k + 1], times[:, k + 1 : k + 2]
-
-    def _evolve_ode_rnn(self, store, h0, seq, substeps, method):
         h = h0 if isinstance(h0, ad.Node) else ad.constant(h0)
+        rates = self._spline_rates(seq, seq.horizon, substeps, method)
         states = []
         for k in range(seq.horizon):
-            t0, t1 = self._interval_times(seq, k)
-            u = seq.actions[k]
-            _, h = integrate_span(lambda s, t: self.f(store, s, u, t),
-                                  h, t0, t1, substeps, method)
-            if self.cfg.jumps:
-                h = self.jump_cell.step(store, h, seq.actions[k + 1])
+            _, h = self._advance(store, h, seq, k, substeps, method, rates)
             states.append(h)
-        times = seq.anchor_times[..., 1:]
-        return HiddenTrajectory(times=times, states=states)
-
-    def _cde_knots(self, seq):
-        """Stack actions with the time channel: (B, K, D_u + 1) node."""
-        b = seq.actions[0].value.shape[0]
-        k = len(seq.actions)
-        rows = [ad.reshape(a, (b, 1, self.cfg.action_dim)) for a in seq.actions]
-        act = ad.concat(rows, axis=1)
-        times = seq.anchor_times
-        if times.ndim == 1:
-            tch = np.broadcast_to(times[None, :, None], (b, k, 1)).copy()
-        else:
-            tch = times[:, :, None].copy()
-        return ad.concat([act, ad.constant(tch)], axis=2)
-
-    def _cde_derivative_rows(self, seq, substeps):
-        """Constant spline-derivative weights at every rk4 stage time.
-
-        Returns (weights, stage_times): weights is (S, K) for a shared
-        clock or (B, S, K) ragged; stage row 3*(k*substeps+j)+q holds the
-        start/mid/end stage of substep j in interval k.
-        """
-        times = seq.anchor_times
-        tmat = times[None, :] if times.ndim == 1 else times
-        all_w, all_t = [], []
-        for row in tmat:
-            stages = []
-            for k in range(row.size - 1):
-                grid = np.linspace(row[k], row[k + 1], substeps + 1)
-                for j in range(substeps):
-                    stages.extend((grid[j], 0.5 * (grid[j] + grid[j + 1]), grid[j + 1]))
-            stages = np.asarray(stages)
-            path = CubicPath(row, np.zeros((row.size, 1)))
-            all_w.append(path.derivative_weights(stages))
-            all_t.append(stages)
-        if times.ndim == 1:
-            return all_w[0], all_t[0]
-        return np.stack(all_w), np.stack(all_t)
-
-    def _evolve_cde(self, store, h0, seq, substeps, method, first_only=False):
-        h = h0 if isinstance(h0, ad.Node) else ad.constant(h0)
-        b = h.value.shape[0]
-        knots = self._cde_knots(seq)
-        weights, stage_times = self._cde_derivative_rows(seq, substeps)
-        du_rows = ad.matmul(ad.constant(weights), knots)   # (B, S, C)
-
-        def du_at(idx):
-            row = ad.narrow(du_rows, 1, idx, 1)
-            return ad.reshape(row, (b, self.cfg.action_dim + 1))
-
-        def stage_t(idx):
-            if stage_times.ndim == 1:
-                return float(stage_times[idx])
-            return stage_times[:, idx : idx + 1]
-
-        def rhs(state, t, idx):
-            return ad.bmatvec(self.cde_matrix(store, state, t), du_at(idx))
-
-        states = []
-        row = 0
-        n_intervals = 1 if first_only else seq.horizon
-        for k in range(n_intervals):
-            t0, t1 = self._interval_times(seq, k)
-            dt = (t1 - t0) / substeps
-            for j in range(substeps):
-                ia, im, ib = row, row + 1, row + 2
-                row += 3
-                if method == "euler":
-                    h = ad.add(h, ad.mul_const(rhs(h, stage_t(ia), ia), dt))
-                else:
-                    k1 = rhs(h, stage_t(ia), ia)
-                    k2 = rhs(ad.add(h, ad.mul_const(k1, dt / 2.0)), stage_t(im), im)
-                    k3 = rhs(ad.add(h, ad.mul_const(k2, dt / 2.0)), stage_t(im), im)
-                    k4 = rhs(ad.add(h, ad.mul_const(k3, dt)), stage_t(ib), ib)
-                    acc = ad.add(ad.add(k1, k4), ad.mul_const(ad.add(k2, k3), 2.0))
-                    h = ad.add(h, ad.mul_const(acc, dt / 6.0))
-                if not np.all(np.isfinite(h.value)):
-                    raise BlowupError(float(np.min(t1)) if isinstance(t1, np.ndarray) else t1)
-            states.append(h)
-        times = seq.anchor_times[..., 1 : n_intervals + 1]
-        return HiddenTrajectory(times=times, states=states)
-
-    # -- committed step --------------------------------------------------------
+        return HiddenTrajectory(times=seq.anchor_times[..., 1:], states=states)
 
     def commit_step(self, store, h, seq, substeps=10, method="rk4", queries=()):
         """Advance the committed state across the window's first interval.
@@ -232,33 +138,65 @@ class ContinuousModel:
         ode_rnn flows with the first action and jumps on the second; the
         cde integrates the window spline restricted to its first leg.
         queries are times strictly inside the interval at which pre-jump
-        states are also reported.  Returns (list of (t, state), end state).
+        states are also reported (shared clocks only).  Returns
+        (list of (t, state), end state).
         """
-        t0, t1 = self._interval_times(seq, 0)
-        if self.cfg.backend == "ode_rnn":
-            u = seq.actions[0]
-            out, h = integrate_span(lambda s, t: self.f(store, s, u, t),
-                                    h, t0, t1, substeps, method, interior=queries)
-            if self.cfg.jumps:
-                h = self.jump_cell.step(store, h, seq.actions[1])
-            return out, h
+        rates = self._spline_rates(seq, 1, substeps, method, queries)
+        return self._advance(store, h, seq, 0, substeps, method, rates, queries)
 
+    def _interval_times(self, seq, k):
         times = seq.anchor_times
-        if times.ndim == 2:
-            if queries:
-                raise ValueError("interior queries need a shared clock")
-            traj = self._evolve_cde(store, h, seq, substeps, method, first_only=True)
-            return [], traj.states[-1]
+        if times.ndim == 1:
+            return float(times[k]), float(times[k + 1])
+        return times[:, k : k + 1], times[:, k + 1 : k + 2]
 
-        knots = self._cde_knots(seq)
-        b = h.value.shape[0]
-        path = CubicPath(times, np.zeros((times.size, 1)))
+    def _advance(self, store, h, seq, k, substeps, method, rates, queries=()):
+        """Integrate interval k; the cde reads its dU/dt rows from `rates`."""
+        t0, t1 = self._interval_times(seq, k)
+        if self.cfg.backend == "cde":
+            def rhs(state, t):
+                return ad.bmatvec(self.cde_matrix(store, state, t), next(rates))
+            return integrate_span(rhs, h, t0, t1, substeps, method,
+                                  interior=queries)
+        u = seq.actions[k]
+        out, h = integrate_span(lambda s, t: self.f(store, s, u, t),
+                                h, t0, t1, substeps, method, interior=queries)
+        if self.cfg.jumps:
+            h = self.jump_cell.step(store, h, seq.actions[k + 1])
+        return out, h
 
-        def deriv(state, t):
-            w = path.derivative_weights([float(t)])
-            du = ad.matmul(ad.constant(w), knots)
-            du = ad.reshape(du, (b, self.cfg.action_dim + 1))
-            return ad.bmatvec(self.cde_matrix(store, state, t), du)
+    def _cde_knots(self, seq):
+        """Stack actions with the time channel: (B, K, D_u + 1) node."""
+        b = seq.actions[0].value.shape[0]
+        k = len(seq.actions)
+        rows = [ad.reshape(a, (b, 1, self.cfg.action_dim)) for a in seq.actions]
+        act = ad.concat(rows, axis=1)
+        times = np.atleast_2d(seq.anchor_times)[:, :, None]
+        tch = np.broadcast_to(times, (b, k, 1)).copy()
+        return ad.concat([act, ad.constant(tch)], axis=2)
 
-        return integrate_span(deriv, h, float(times[0]), float(times[1]),
-                              substeps, method, interior=queries)
+    def _spline_rates(self, seq, intervals, substeps, method, queries=()):
+        """dU/dt at every stage time integrate_span will visit, in call order.
+
+        Covers the window's first `intervals` intervals.  The window spline
+        gives one weight matrix over all those stage times (one CubicPath,
+        or one per series on a ragged clock) and one tape matmul against
+        the knots; the iterator yields its (B, D_u + 1) rows.  None for the
+        ode_rnn.
+        """
+        if self.cfg.backend != "cde":
+            return None
+        stages = [t for k in range(intervals)
+                  for _, ts, _ in span_steps(*self._interval_times(seq, k),
+                                             substeps, method, queries)
+                  for t in ts]
+        # one row of knot and stage times per clock (a single row when
+        # shared); a + dt may round one ulp past the last knot
+        times = np.atleast_2d(seq.anchor_times)
+        stage_mat = np.minimum(np.atleast_2d(np.hstack(stages)), times[:, -1:])
+        weights = np.stack([
+            CubicPath(row, np.zeros((row.size, 1))).derivative_weights(ts)
+            for row, ts in zip(times, stage_mat)])
+        du_rows = ad.matmul(ad.constant(weights), self._cde_knots(seq))
+        b, n, c = du_rows.value.shape
+        return (ad.reshape(ad.narrow(du_rows, 1, i, 1), (b, c)) for i in range(n))

@@ -4,6 +4,12 @@ The oracle is a central difference with step 1e-5 in float64; analytic
 adjoints must agree within relative error 1e-4.  check_function perturbs
 one flat input vector; the component suites below wire up every tape op
 and every composed model so the same gate runs in tests and in the CLI.
+
+The relative error's denominator has a floor for near-zero coordinates.
+The central difference carries a rounding error of about |f|*eps/step,
+so the floor is max(1e-8, 4*|f(x0)|*eps/(step*tol)): that rounding alone
+then costs at most tol/4, while a wrong gradient of any size above the
+rounding still fails.
 """
 
 import numpy as np
@@ -36,6 +42,8 @@ def check_function(f, x0, step=STEP, tol=TOL, corrupt=1.0, name="f"):
     ad.backward(out)
     grad = np.zeros_like(x0) if lf.grad is None else lf.grad.copy()
     grad = grad * corrupt
+    eps = np.finfo(np.float64).eps
+    floor = max(1e-8, 4.0 * abs(float(out.value)) * eps / (step * tol))
 
     worst = 0.0
     worst_i = -1
@@ -48,7 +56,7 @@ def check_function(f, x0, step=STEP, tol=TOL, corrupt=1.0, name="f"):
             fp = float(f(ad.constant(xp)).value)
             fm = float(f(ad.constant(xm)).value)
         fd = (fp - fm) / (2.0 * step)
-        e = rel_err(grad.flat[i], fd)
+        e = rel_err(grad.flat[i], fd, floor)
         if e > worst:
             worst, worst_i = e, i
     if worst > tol:

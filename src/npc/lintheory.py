@@ -152,6 +152,17 @@ def solve_are(model, tol=1e-12, max_iter=100):
 # ---------------------------------------------------------------------------
 # Riccati differential equation
 
+def _rk4(rhs, x, h):
+    """One plain-numpy rk4 step of dx/dt = rhs(x, i), where i = 0, 1, 2
+    indexes the stage offsets 0, h/2 and h.  The theory battery runs off
+    the tape, so it does not use odesolve."""
+    k1 = rhs(x, 0)
+    k2 = rhs(x + 0.5 * h * k1, 1)
+    k3 = rhs(x + 0.5 * h * k2, 1)
+    k4 = rhs(x + h * k3, 2)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
 def integrate_rde(model, horizon, p_terminal=None, step=0.005):
     """P(s) on s in [0, horizon], s measured as time-to-go.
 
@@ -166,7 +177,7 @@ def integrate_rde(model, horizon, p_terminal=None, step=0.005):
     q = model.q
     a = model.a
 
-    def rhs(p):
+    def rhs(p, _stage):
         return a.T @ p + p @ a - p @ model.b @ rinv @ model.b.T @ p + q
 
     p = q.copy() if p_terminal is None else np.atleast_2d(
@@ -174,11 +185,7 @@ def integrate_rde(model, horizon, p_terminal=None, step=0.005):
     out = np.empty((steps + 1, model.n, model.n))
     out[0] = p
     for k in range(steps):
-        k1 = rhs(p)
-        k2 = rhs(p + 0.5 * step * k1)
-        k3 = rhs(p + 0.5 * step * k2)
-        k4 = rhs(p + step * k3)
-        p = p + (step / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        p = _rk4(rhs, p, step)
         p = (p + p.T) / 2.0
         out[k + 1] = p
     s = np.linspace(0.0, horizon, steps + 1)
@@ -187,17 +194,6 @@ def integrate_rde(model, horizon, p_terminal=None, step=0.005):
 
 # ---------------------------------------------------------------------------
 # closed loops
-
-def _rk4_lti(x, a_of_stage, h):
-    """One rk4 step of dx/dt = A(sigma) x with A given at the three stage
-    offsets (0, h/2, h)."""
-    a0, a1, a2 = a_of_stage
-    k1 = a0 @ x
-    k2 = a1 @ (x + 0.5 * h * k1)
-    k3 = a1 @ (x + 0.5 * h * k2)
-    k4 = a2 @ (x + h * k3)
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
 
 def mpc_closed_loop(model, horizon, tau, x0, t_end, steps_per_tau=50,
                     p_terminal=None):
@@ -235,7 +231,7 @@ def mpc_closed_loop(model, horizon, tau, x0, t_end, steps_per_tau=50,
             stages = (a_closed_at(total_units - sigma_units),
                       a_closed_at(total_units - sigma_units - 1),
                       a_closed_at(total_units - sigma_units - 2))
-            x = _rk4_lti(x, stages, h)
+            x = _rk4(lambda x_, i: stages[i] @ x_, x, h)
             times.append(w * tau + (j + 1) * h)
             states.append(x.copy())
     return np.array(times), np.stack(states)
@@ -247,11 +243,10 @@ def infinite_closed_loop(model, x0, t_end, step=0.01, are=None):
     steps = int(np.ceil(t_end / step - 1e-12))
     x = np.asarray(x0, dtype=np.float64).reshape(model.n)
     a_cl = are.a_closed
-    stages = (a_cl, a_cl, a_cl)
     times = [0.0]
     states = [x.copy()]
     for k in range(steps):
-        x = _rk4_lti(x, stages, step)
+        x = _rk4(lambda x_, _: a_cl @ x_, x, step)
         times.append((k + 1) * step)
         states.append(x.copy())
     return np.array(times), np.stack(states)

@@ -11,23 +11,9 @@ total = task cost + lambda * regularizer.  All costs are scalar nodes,
 averaged over the batch and summed over horizon terms.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-
-
-@dataclass
-class ObjectiveConfig:
-    task: str = "classification"
-    lam: float = 0.1
-
-    def __post_init__(self):
-        if self.task not in ("classification", "regression"):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
 
 
 def _mse(pred, target, sample_weight=None):

@@ -6,6 +6,11 @@ Each interval between requested evaluation times is covered by `substeps`
 uniform steps.  Interval endpoints may be floats or (B, 1) arrays, which
 lets a batch of series with different clocks integrate in lockstep; time
 enters the derivative callback in the same form.
+
+span_steps is the one place that lays out steps and stage times:
+integrate_span walks it, and the cde backend of ContinuousModel reads it
+ahead of integration to evaluate its spline derivative at every stage
+time in one weight matrix.  _step is the only RK4 on the tape.
 """
 
 from dataclasses import dataclass, field
@@ -58,14 +63,41 @@ def _check_finite(state, t):
         raise BlowupError(_rep(t))
 
 
-def _step(f, h, t, dt, method):
+def span_steps(t0, t1, substeps, method, interior=()):
+    """The steps integrate_span takes from t0 to t1, in order.
+
+    Yields (dt, stage times, end time) per step; the stage times are where
+    the scheme evaluates f, in call order: (a,) for euler and
+    (a, a + dt/2, a + dt/2, a + dt) for rk4.  integrate_span walks exactly
+    these steps, and ContinuousModel's cde backend reads them to build its
+    spline-derivative rows before integrating, so the two cannot drift.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if not isinstance(t0, np.ndarray):
+        cuts = sorted(set(np.linspace(t0, t1, substeps + 1)[1:-1]).union(interior))
+        points = [t0, *cuts, t1]
+    else:
+        if interior:
+            raise ValueError("interior sampling requires scalar interval times")
+        fracs = np.linspace(0.0, 1.0, substeps + 1)
+        points = [t0 + (t1 - t0) * fr for fr in fracs]
+    for a, b in zip(points, points[1:]):
+        dt = b - a
+        if method == "euler":
+            yield dt, (a,), b
+        else:
+            tm = a + dt / 2.0
+            yield dt, (a, tm, tm, a + dt), b
+
+
+def _step(f, h, dt, ts, method):
     if method == "euler":
-        return ad.add(h, ad.mul_const(f(h, t), dt))
-    k1 = f(h, t)
-    tm = t + dt / 2.0
-    k2 = f(ad.add(h, ad.mul_const(k1, dt / 2.0)), tm)
-    k3 = f(ad.add(h, ad.mul_const(k2, dt / 2.0)), tm)
-    k4 = f(ad.add(h, ad.mul_const(k3, dt)), t + dt)
+        return ad.add(h, ad.mul_const(f(h, ts[0]), dt))
+    k1 = f(h, ts[0])
+    k2 = f(ad.add(h, ad.mul_const(k1, dt / 2.0)), ts[1])
+    k3 = f(ad.add(h, ad.mul_const(k2, dt / 2.0)), ts[2])
+    k4 = f(ad.add(h, ad.mul_const(k3, dt)), ts[3])
     acc = ad.add(ad.add(k1, k4), ad.mul_const(ad.add(k2, k3), 2.0))
     return ad.add(h, ad.mul_const(acc, dt / 6.0))
 
@@ -78,25 +110,12 @@ def integrate_span(f, h, t0, t1, substeps, method, interior=()):
     interpolation error beyond the scheme itself.  Returns
     (list of (t, state) for interior times, end state).
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    scalar_time = not isinstance(t0, np.ndarray)
-    if scalar_time:
-        cuts = sorted(set(np.linspace(t0, t1, substeps + 1)[1:-1]).union(interior))
-        points = [t0, *cuts, t1]
-        wanted = set(interior)
-    else:
-        if interior:
-            raise ValueError("interior sampling requires scalar interval times")
-        fracs = np.linspace(0.0, 1.0, substeps + 1)
-        points = [t0 + (t1 - t0) * fr for fr in fracs]
-        wanted = set()
-
+    wanted = set(interior)
     out = []
-    for a, b in zip(points, points[1:]):
-        h = _step(f, h, a, b - a, method)
+    for dt, ts, b in span_steps(t0, t1, substeps, method, interior):
+        h = _step(f, h, dt, ts, method)
         _check_finite(h, b)
-        if scalar_time and b in wanted:
+        if wanted and b in wanted:
             out.append((b, h))
     return out, h
 
@@ -112,28 +131,5 @@ def ode_solve(derivative, h0, grid, method="rk4"):
     states = [h]
     for a, b in zip(grid.eval_times, grid.eval_times[1:]):
         _, h = integrate_span(derivative, h, a, b, grid.substeps, method)
-        states.append(h)
-    return Trajectory(times=list(grid.eval_times), states=states)
-
-
-def ode_solve_controlled(derivative, h0, actions, grid, method="rk4"):
-    """Like ode_solve but with one action held constant per interval.
-
-    derivative(h, u, t) sees actions[k] throughout
-    [eval_times[k], eval_times[k+1]].  len(actions) must equal the number
-    of intervals.
-    """
-    n_int = len(grid.eval_times) - 1
-    if len(actions) != n_int:
-        raise ValueError(
-            f"need exactly {n_int} actions for {n_int} intervals, got {len(actions)}"
-        )
-    h = h0 if isinstance(h0, ad.Node) else ad.constant(h0)
-    _check_finite(h, grid.eval_times[0])
-    states = [h]
-    for k, (a, b) in enumerate(zip(grid.eval_times, grid.eval_times[1:])):
-        u = actions[k]
-        _, h = integrate_span(lambda s, t: derivative(s, u, t), h, a, b,
-                              grid.substeps, method)
         states.append(h)
     return Trajectory(times=list(grid.eval_times), states=states)

@@ -14,8 +14,6 @@ extrapolate.
 
 import numpy as np
 
-from . import autodiff as ad
-
 
 class CubicPath:
     """Natural cubic spline through (knot_times, knot_values).
@@ -144,27 +142,3 @@ def _eval_weights(t, second_map, ts, seg, derivative):
     np.add.at(wm, (rows, seg), wm_lo)
     np.add.at(wm, (rows, seg + 1), wm_hi)
     return w + wm @ second_map
-
-
-def build_path(knot_times, knot_values):
-    return CubicPath(knot_times, knot_values)
-
-
-def eval_path(path, ts):
-    return path.evaluate(ts)
-
-
-def eval_derivative(path, ts):
-    return path.derivative(ts)
-
-
-def eval_path_tape(knot_times, knot_values, ts, derivative=False):
-    """Spline evaluation with knot values on the tape.
-
-    knot_values: Node of shape (K, C) or (B, K, C); returns a Node of
-    shape (len(ts), C) or (B, len(ts), C).  Gradients flow to the knots
-    through the constant weight matrix (the transposed linear solve).
-    """
-    probe = CubicPath(knot_times, np.zeros((len(knot_times), 1)))
-    w = probe.derivative_weights(ts) if derivative else probe.value_weights(ts)
-    return ad.matmul(ad.constant(w), knot_values)

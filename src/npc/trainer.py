@@ -51,7 +51,6 @@ class TrainConfig:
     patience: int = 10
     min_rel_improve: float = 1e-5
     shuffle: bool = True
-    track_inner: bool = False
     freeze_prefixes: tuple = ()
 
     def __post_init__(self):
@@ -70,10 +69,9 @@ class TrainReport:
     stopped_early: bool = False
     skipped_series: int = 0
     wall_seconds: float = 0.0
-    inner_improved: list = None
 
     def to_dict(self):
-        d = {
+        return {
             "epoch_losses": self.epoch_losses,
             "window_objectives": self.window_objectives,
             "windows": self.windows,
@@ -82,9 +80,6 @@ class TrainReport:
             "skipped_series": self.skipped_series,
             "wall_seconds": self.wall_seconds,
         }
-        if self.inner_improved is not None:
-            d["inner_improved"] = self.inner_improved
-        return d
 
 
 class ModelBundle:
@@ -331,28 +326,36 @@ class _WindowRunner:
         targets = [batch.values[:, k] for k in range(batch.n_obs)]
         return obj.regression_cost(model, store, states, targets)
 
-    def commit(self, a, m_eff, queries=()):
-        """Execute one interval under current parameters.
+    def commit(self, a, m_eff):
+        """Execute one interval after a training update.
+
+        The controller replays its window from a carried state, so the plan
+        is re-emitted under the updated psi.
+        """
+        with ad.no_grad():
+            z = self._replay_z(a)
+        self.execute(z, a, m_eff)
+        self._advance_zlist(a + 1)
+
+    def execute(self, z, a, m_eff, queries=()):
+        """Advance the committed state across interval a with the plan
+        emitted from controller state z.
 
         Returns (t, readout value) pairs for query times strictly inside
         (t_a, t_{a+1}).
         """
         store, model = self.bundle.store, self.bundle.model
-        out = []
         with ad.no_grad():
             if self.h_comm is None:     # committed state at t_0
                 self.h_comm = model.encode_initial(
                     store, self.batch.values[:, 0]).value
-            z = self._replay_z(a)
             seq = self._emit(z, a, m_eff)
             states, h_end = model.commit_step(
                 store, ad.constant(self.h_comm), seq, self.substeps,
                 self.method, queries=queries)
-            for t, state in states:
-                out.append((t, model.readout(store, state).value))
             self.h_comm = h_end.value
-        self._advance_zlist(a + 1)
-        return out
+            return [(t, model.readout(store, state).value)
+                    for t, state in states]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +382,7 @@ def train(bundle, series_list, cfg):
 
     opt = Adamax(bundle.store, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
-    report = TrainReport(inner_improved=[] if cfg.track_inner else None)
+    report = TrainReport()
     best = np.inf
     stall = 0
     is_npc = bundle.meta["algorithm"] == "npc"
@@ -413,14 +416,6 @@ def train(bundle, series_list, cfg):
                              skip_prefixes=cfg.freeze_prefixes)
                 report.window_objectives.append(first_obj)
                 epoch_objs.append(first_obj)
-                if cfg.track_inner:
-                    with ad.no_grad():
-                        if is_npc:
-                            after = float(
-                                runner.window_objective(a, m_eff).value)
-                        else:
-                            after = float(runner.rollout_objective().value)
-                    report.inner_improved.append(after <= first_obj + 1e-12)
                 if is_npc:
                     for c in range(a, min(a + cfg.stride, n - 1)):
                         runner.commit(c, min(runner.m, n - 1 - c))
@@ -453,7 +448,8 @@ def _committed_pass(bundle, batch, queries=None):
 
     queries: optional {interval index a: times strictly inside
     (t_a, t_{a+1})}.  Returns (committed states per observation time,
-    list of (t, readout value) at the queried times).
+    list of (t, readout value) at the queried times, the runner holding
+    the carried controller states).
     """
     runner = _WindowRunner(bundle, batch)
     query_out = []
@@ -463,10 +459,14 @@ def _committed_pass(bundle, batch, queries=None):
     runner.h_comm = h0.value
     committed.append(h0.value)
     for a, m_eff in runner.anchors():
+        # frozen parameters: the carried state after obs a is exactly what
+        # a replay would rebuild, so the plan is emitted from it directly
+        runner._advance_zlist(a + 1)
+        z = ControllerState(ad.constant(runner.zlist[a + 1]))
         inner = () if queries is None else tuple(queries.get(a, ()))
-        query_out.extend(runner.commit(a, m_eff, queries=inner))
+        query_out.extend(runner.execute(z, a, m_eff, queries=inner))
         committed.append(runner.h_comm)
-    return committed, query_out
+    return committed, query_out, runner
 
 
 def classify(bundle, series_list):
@@ -490,7 +490,7 @@ def classify(bundle, series_list):
     model, store = bundle.model, bundle.store
     for idxs in groups.values():
         batch = _Batch([items[i] for i in idxs])
-        committed, _ = _committed_pass(bundle, batch)
+        committed, _, _ = _committed_pass(bundle, batch)
         with ad.no_grad():
             logits = model.readout(store, ad.constant(committed[-1])).value
         shifted = logits - logits.max(axis=1, keepdims=True)
@@ -527,7 +527,7 @@ def interpolate(bundle, series, query_times):
         else:
             interior.setdefault(j - 1, []).append(q)
     qmap = {a: sorted(set(v)) for a, v in interior.items()}
-    committed, qout = _committed_pass(bundle, batch, queries=qmap)
+    committed, qout, _ = _committed_pass(bundle, batch, queries=qmap)
     model, store = bundle.model, bundle.store
     values = {}
     with ad.no_grad():
@@ -558,13 +558,12 @@ def extrapolate(bundle, series, horizon_times):
         raise ValueError(
             "horizon times must be increasing and after the last observation")
     batch = _Batch([series])
-    runner = _WindowRunner(bundle, batch)
-    committed, _ = _committed_pass(bundle, batch)
+    committed, _, runner = _committed_pass(bundle, batch)
     model, store, ctrl = bundle.model, bundle.store, bundle.controller
     n = batch.n_obs
+    runner._advance_zlist(n)
     with ad.no_grad():
-        runner._advance_zlist(n)
-        z = runner._replay_z(n - 1)
+        z = ControllerState(ad.constant(runner.zlist[n]))
         times = np.concatenate([[t_obs[-1]], ht])
         if bundle.meta["algorithm"] == "npc":
             seq = ctrl.emit(store, z, n - 1, times, horizon=len(ht))

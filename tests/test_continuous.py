@@ -5,6 +5,7 @@ import npc.autodiff as ad
 from npc.continuous import ContinuousConfig, ContinuousModel
 from npc.controller import ActionSequence
 from npc.params import ParamStore
+from npc.spline import CubicPath
 
 
 def _model(backend="ode_rnn", jumps=True, seed=0, action_dim=3, hidden=4):
@@ -63,8 +64,41 @@ def test_commit_step_matches_first_evolve_state(backend):
     h0 = ad.constant(np.random.default_rng(7).normal(size=(2, 4)) * 0.1)
     full = model.evolve(store, h0, seq, substeps=4)
     _, committed = model.commit_step(store, h0, seq, substeps=4)
-    np.testing.assert_allclose(committed.value, full.states[0].value,
-                               atol=1e-12)
+    np.testing.assert_array_equal(committed.value, full.states[0].value)
+
+
+@pytest.mark.parametrize("call", ["evolve", "commit_step"])
+def test_cde_one_weight_matrix_per_call(call, monkeypatch):
+    calls = []
+    original = CubicPath.derivative_weights
+
+    def counting(self, ts, side="right"):
+        calls.append(len(ts))
+        return original(self, ts, side)
+
+    monkeypatch.setattr(CubicPath, "derivative_weights", counting)
+    model, store = _model("cde", seed=16)
+    seq = _seq(seed=17)
+    h0 = ad.constant(np.zeros((2, 4)))
+    if call == "evolve":
+        model.evolve(store, h0, seq, substeps=3)
+        stages = 2 * 3 * 4
+    else:
+        model.commit_step(store, h0, seq, substeps=3, queries=(0.2,))
+        stages = 4 * 4
+    assert calls == [stages]
+
+
+def test_cde_last_stage_rounding_past_the_end_knot():
+    # 0.3 + (0.9 - 0.3) rounds above 0.9: the final rk4 stage must still
+    # read the spline's derivative at its end
+    model, store = _model("cde", seed=18)
+    rng = np.random.default_rng(19)
+    actions = [ad.constant(rng.normal(size=(1, 3))) for _ in range(3)]
+    seq = ActionSequence(actions=actions, anchor=0,
+                         anchor_times=np.array([0.0, 0.3, 0.9]))
+    traj = model.evolve(store, np.zeros((1, 4)), seq, substeps=1)
+    assert np.all(np.isfinite(traj.states[-1].value))
 
 
 def test_commit_step_interior_queries():

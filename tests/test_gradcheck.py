@@ -52,3 +52,21 @@ def test_registered_component_runs():
     results = gradcheck.run_component("controller", seed=0)
     assert results
     assert max(results.values()) < 1e-4
+
+
+def test_floor_absorbs_central_difference_rounding():
+    # d/dx of 1e3 + x^2 at x = 1e-9 is 2e-9, below the difference's
+    # rounding error of about 1e3 * eps / step
+    def f(x):
+        return ad.add_const(ad.sum_(ad.square(x)), 1e3)
+
+    assert gradcheck.check_function(f, np.array([1e-9, 1.0])) < 1e-4
+    with pytest.raises(gradcheck.GradCheckError):
+        gradcheck.check_function(f, np.array([1e-9, 1.0]), corrupt=1.01)
+
+
+def test_cde_suite_near_zero_coordinate_passes():
+    # seed 1 holds a correct cde.regression coordinate of -1.2e-7 that a
+    # fixed 1e-8 floor rejected
+    results = gradcheck.run_component("cde", seed=1)
+    assert max(results.values()) < gradcheck.TOL

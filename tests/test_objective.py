@@ -4,9 +4,8 @@ import pytest
 import npc.autodiff as ad
 from npc.continuous import ContinuousConfig, ContinuousModel, HiddenTrajectory
 from npc.controller import ActionSequence, Controller, ControllerConfig
-from npc.objective import (ObjectiveConfig, action_regularizer,
-                           classification_cost, regression_cost,
-                           total_objective)
+from npc.objective import (action_regularizer, classification_cost,
+                           regression_cost, total_objective)
 from npc.params import ParamStore
 
 
@@ -15,14 +14,6 @@ class _IdentityModel:
 
     def readout(self, store, h):
         return h
-
-
-def test_config_validation():
-    ObjectiveConfig(task="regression", lam=0.0)
-    with pytest.raises(ValueError):
-        ObjectiveConfig(task="ranking")
-    with pytest.raises(ValueError):
-        ObjectiveConfig(lam=-0.1)
 
 
 def test_classification_cost_hand_value():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import npc.autodiff as ad
-from npc.odesolve import (BlowupError, TimeGrid, integrate_span, ode_solve,
-                          ode_solve_controlled)
+from npc.odesolve import BlowupError, TimeGrid, integrate_span, ode_solve
 
 
 def _decay(h, t):
@@ -55,21 +54,6 @@ def test_gradient_through_solver_matches_analytic():
     ad.backward(ad.sum_(traj.states[-1]))
     # d/dh0 of h0*exp(-1) is exp(-1)
     np.testing.assert_allclose(h0.grad, np.exp(-1.0), rtol=1e-8)
-
-
-def test_controlled_constant_derivative_is_exact():
-    actions = [ad.constant(np.array([[2.0]])), ad.constant(np.array([[-1.0]]))]
-    traj = ode_solve_controlled(lambda h, u, t: u, np.array([[0.0]]),
-                                actions, TimeGrid([0.0, 1.0, 3.0], 4))
-    np.testing.assert_allclose(traj.states[1].value, 2.0, atol=1e-12)
-    np.testing.assert_allclose(traj.states[2].value, 0.0, atol=1e-12)
-
-
-def test_controlled_action_count_checked():
-    with pytest.raises(ValueError):
-        ode_solve_controlled(lambda h, u, t: u, np.zeros((1, 1)),
-                             [ad.constant(np.zeros((1, 1)))],
-                             TimeGrid([0.0, 1.0, 2.0], 2))
 
 
 def test_grid_validation():

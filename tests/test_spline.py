@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-import npc.autodiff as ad
-from npc.gradcheck import check_function
-from npc.spline import CubicPath, eval_path_tape
+from npc.spline import CubicPath
 
 
 def _path(seed=0, k=7, channels=2):
@@ -77,40 +75,6 @@ def test_validation():
         CubicPath([0.0, 0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         CubicPath([0.0, 1.0], [[1.0], [2.0], [3.0]])
-
-
-def test_tape_evaluation_matches_plain():
-    p = _path(seed=4, channels=3)
-    ts = np.linspace(0.5, 9.5, 9)
-    node = eval_path_tape(p.knot_times, ad.constant(p.knot_values), ts)
-    np.testing.assert_allclose(node.value, p.evaluate(ts), atol=1e-12)
-    dnode = eval_path_tape(p.knot_times, ad.constant(p.knot_values), ts,
-                           derivative=True)
-    np.testing.assert_allclose(dnode.value, p.derivative(ts), atol=1e-12)
-
-
-def test_tape_gradient_to_knots():
-    t = np.array([0.0, 1.0, 2.0, 3.5, 5.0])
-    ts = np.array([0.4, 1.7, 2.2, 4.9])
-
-    def f(knots):
-        out = eval_path_tape(t, ad.reshape(knots, (5, 2)), ts)
-        return ad.sum_(ad.square(out))
-
-    x0 = np.random.default_rng(5).normal(size=10)
-    assert check_function(f, x0, name="spline") < 1e-4
-
-
-def test_batched_knots_on_tape():
-    t = np.array([0.0, 1.0, 3.0])
-    rng = np.random.default_rng(6)
-    knots = rng.normal(size=(4, 3, 2))
-    ts = np.array([0.5, 2.0])
-    out = eval_path_tape(t, ad.constant(knots), ts)
-    assert out.value.shape == (4, 2, 2)
-    for b in range(4):
-        single = CubicPath(t, knots[b]).evaluate(ts)
-        np.testing.assert_allclose(out.value[b], single, atol=1e-12)
 
 
 def test_weight_rows_sum_to_one():

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import npc.autodiff as ad
+from npc.controller import Controller
 from npc.datagen import Normalizer, TimeSeries, drop_observations, gen_sine_regression
-from npc.trainer import (ModelBundle, TrainConfig, TrainingDiverged,
-                         _group_series, classify, evaluate_classification,
-                         evaluate_interpolation, extrapolate, interpolate,
-                         sensitivity_sweep, train)
+from npc.trainer import (ModelBundle, TrainConfig, TrainingDiverged, _Batch,
+                         _group_series, _WindowRunner, classify,
+                         evaluate_classification, evaluate_interpolation,
+                         extrapolate, interpolate, sensitivity_sweep, train)
 
 
 def _class_series(n=8, length=8, seed=0):
@@ -180,6 +182,35 @@ def test_classify_tie_resolves_to_lower_id():
     preds, probs = classify(bundle, series)
     np.testing.assert_array_equal(preds, 0)
     np.testing.assert_allclose(probs, 0.5)
+
+
+@pytest.mark.parametrize("backend", ["ode_rnn", "cde"])
+def test_classify_steps_controller_once_per_interval(backend, monkeypatch):
+    series = _class_series(n=4, length=8, seed=3)
+    bundle = _tiny_bundle(backend=backend, seed=3)
+    train(bundle, series, TrainConfig(epochs=1, batch=4, seed=0))
+    # reference: the training commit, which replays the controller window
+    runner = _WindowRunner(bundle, _Batch(series))
+    for a, m_eff in runner.anchors():
+        runner.commit(a, m_eff)
+    with ad.no_grad():
+        logits = bundle.model.readout(bundle.store,
+                                      ad.constant(runner.h_comm)).value
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+
+    steps = []
+    original = Controller.step
+
+    def counting(self, *args, **kwargs):
+        steps.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Controller, "step", counting)
+    preds, probs = classify(bundle, series)
+    assert len(steps) == len(series[0].times) - 1
+    np.testing.assert_array_equal(preds, p.argmax(axis=1))
+    np.testing.assert_array_equal(probs, p.max(axis=1))
 
 
 def test_classify_wrong_task_rejected():
