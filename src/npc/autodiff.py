@@ -11,6 +11,14 @@ Values are float64 throughout.  Elementwise ops broadcast only over
 leading dimensions (a trailing-shape operand such as a bias vector may be
 promoted); anything richer must be spelled out by the caller.
 
+The arrays are small (a batch of a few series by a few dozen units), so a
+graph's cost is the Python work per node more than the arithmetic.  The
+fused ops add_scaled (a + b * c, the solver's update), linear, mlp (a
+whole dense stack) and gru_step (one GRU cell) each build a single node
+whose hand-written adjoint repeats the arithmetic of the primitive-op
+graph they replace.  Each op, fused or primitive, has a finite-difference
+check in gradcheck.op_checks.
+
 State is confined to the calling thread: the grad-enabled flag is
 thread-local and node ids come from a single monotone counter, so distinct
 model replicas may run on distinct threads but a single graph must not be
@@ -28,6 +36,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "add_const", "mul_const", "matmul",
     "bmatvec", "tanh", "relu", "sigmoid", "log", "square", "concat",
     "narrow", "reshape", "sum_", "mean_", "softmax_cross_entropy",
+    "add_scaled", "linear", "mlp", "gru_step",
 ]
 
 _ids = itertools.count()
@@ -140,16 +149,17 @@ def _unbroadcast(g, shape):
 
 
 def _check_elementwise(op, a, b):
+    sa, sb = a.value.shape, b.value.shape
+    if sa == sb:
+        return sa
     try:
-        out = np.broadcast_shapes(a.value.shape, b.value.shape)
+        out = np.broadcast_shapes(sa, sb)
     except ValueError:
-        raise ValueError(
-            f"{op}: shapes {a.value.shape} and {b.value.shape} do not align"
-        ) from None
-    if out != a.value.shape and out != b.value.shape:
+        raise ValueError(f"{op}: shapes {sa} and {sb} do not align") from None
+    if out != sa and out != sb:
         raise ValueError(
             f"{op}: broadcast may only promote a trailing shape, got "
-            f"{a.value.shape} and {b.value.shape}"
+            f"{sa} and {sb}"
         )
     return out
 
@@ -225,6 +235,23 @@ def mul_const(a, c):
         return (g * c,)
 
     return _make(value, (a,), back)
+
+
+def add_scaled(a, b, c):
+    """a + b * c as one node; c is data (scalar or array broadcastable up
+    to b.shape), never differentiated, and a and b share a shape."""
+    c = _as_f64(c)
+    scaled = b.value * c
+    if scaled.shape != b.value.shape or a.value.shape != b.value.shape:
+        raise ValueError(
+            f"add_scaled: shapes {a.value.shape} + {b.value.shape} * "
+            f"{c.shape} do not align"
+        )
+
+    def back(g):
+        return g, g * c
+
+    return _make(a.value + scaled, (a, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +480,98 @@ def softmax_cross_entropy(logits, labels):
 
     value = losses[0] if single else losses
     return _make(np.asarray(value), (logits,), back)
+
+
+# ---------------------------------------------------------------------------
+# fused layers: one node each, with hand-written adjoints that repeat the
+# arithmetic of the equivalent primitive-op graph
+
+def _check_dense(op, vx, vw, vb):
+    if (vx.ndim != 2 or vw.ndim != 2 or vx.shape[1] != vw.shape[0]
+            or vb.shape != vw.shape[1:]):
+        raise ValueError(
+            f"{op}: shapes {vx.shape} @ {vw.shape} + {vb.shape} do not align; "
+            "need (B, k) @ (k, n) + (n,)"
+        )
+
+
+def linear(x, w, b):
+    """x (B, k) @ w (k, n) + b (n,) -> (B, n)."""
+    vx, vw = x.value, w.value
+    _check_dense("linear", vx, vw, b.value)
+
+    def back(g):
+        gx = g @ vw.T if x.requires else None
+        return gx, vx.T @ g, g.sum(axis=0)
+
+    return _make(vx @ vw + b.value, (x, w, b), back)
+
+
+def mlp(x, layers, out_tanh=False):
+    """Dense stack over x (B, k); `layers` is a list of (w, b) nodes.
+
+    Every layer but the last is followed by tanh, the last one too when
+    out_tanh.  The node's parents are x, w0, b0, w1, b1, ...
+    """
+    last = len(layers) - 1
+    acts = [x.value]             # input of each layer, then the output
+    for i, (w, b) in enumerate(layers):
+        _check_dense("mlp", acts[-1], w.value, b.value)
+        h = acts[-1] @ w.value + b.value
+        acts.append(np.tanh(h) if i < last or out_tanh else h)
+
+    def back(g):
+        grads = []
+        for i in range(last, -1, -1):
+            if i < last or out_tanh:
+                t = acts[i + 1]
+                g = g * (1.0 - t * t)
+            w = layers[i][0].value
+            grads += [g.sum(axis=0), acts[i].T @ g]
+            g = g @ w.T if i or x.requires else None
+        grads.append(g)
+        return tuple(reversed(grads))
+
+    parents = (x,) + tuple(n for pair in layers for n in pair)
+    return _make(acts[-1], parents, back)
+
+
+def gru_step(prev, x, wx, wh, b):
+    """GRU cell with fused gate weights; prev (B, H), x (B, k) -> (B, H).
+
+    wx (k, 3H), wh (H, 3H) and b (3H,) hold the reset, update and
+    candidate blocks side by side.  With px = x @ wx + b, ph = prev @ wh:
+    r = sigmoid(px_r + ph_r), u = sigmoid(px_u + ph_u),
+    cand = tanh(px_c + r * ph_c), next = u * prev + (1 - u) * cand.
+    """
+    vp, vx, vwh = prev.value, x.value, wh.value
+    _check_dense("gru_step", vx, wx.value, b.value)
+    _check_dense("gru_step", vp, vwh, b.value)
+    h = vp.shape[1]
+    if wx.value.shape[1] != 3 * h or vx.shape[0] != vp.shape[0]:
+        raise ValueError(
+            f"gru_step: state {vp.shape} and input {vx.shape} do not match "
+            f"gate weights {wx.value.shape} and {vwh.shape}"
+        )
+    px = vx @ wx.value + b.value
+    ph = vp @ vwh
+    r = expit(px[:, :h] + ph[:, :h])
+    u = expit(px[:, h:2 * h] + ph[:, h:2 * h])
+    ph_c = ph[:, 2 * h:]
+    cand = np.tanh(px[:, 2 * h:] + r * ph_c)
+    keep = 1.0 - u
+
+    def back(g):
+        d_pre_c = g * keep * (1.0 - cand * cand)
+        d_pre_u = (g * vp - g * cand) * u * (1.0 - u)
+        d_pre_r = d_pre_c * ph_c * r * (1.0 - r)
+        d_px = np.concatenate([d_pre_r, d_pre_u, d_pre_c], axis=1)
+        d_ph = np.concatenate([d_pre_r, d_pre_u, d_pre_c * r], axis=1)
+        d_prev = g * u + d_ph @ vwh.T
+        d_x = d_px @ wx.value.T if x.requires else None
+        return d_prev, d_x, vx.T @ d_px, vp.T @ d_ph, d_px.sum(axis=0)
+
+    return _make(u * vp + keep * cand, (prev, x, wx, wh, b), back)
 
 
 # ---------------------------------------------------------------------------

@@ -272,7 +272,8 @@ def cmd_extrapolate(args):
                 raise ConfigError(
                     f"series {si} has {s.length} points; extrapolating "
                     f"{k} needs at least {k + 2}")
-            ctx = TimeSeries(s.times[:-k], s.values[:-k], label=s.label)
+            ctx = TimeSeries(s.times[:-k], s.values[:-k], label=s.label,
+                             mask=s.mask[:-k])
             pred = trainer.extrapolate(bundle, ctx, s.times[-k:])
             truth = s.values[-k:]
             sq_sum += float(np.sum((pred - truth) ** 2))

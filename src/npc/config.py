@@ -3,10 +3,11 @@
 A config file holds one `key = value` pair per line ('#' starts a
 comment).  Keys must match RunConfig fields exactly; anything else is
 rejected with the offending key named.  Values are coerced by the field's
-default type.  Sources compose as defaults < preset < file < explicit
-overrides (CLI flags).
+default type; lam must be finite and nonnegative.  Sources compose as
+defaults < preset < file < explicit overrides (CLI flags).
 """
 
+import math
 from dataclasses import dataclass, fields
 
 __all__ = ["RunConfig", "ConfigError", "parse_config_file", "DATASET_PRESETS"]
@@ -57,15 +58,20 @@ class RunConfig:
     # evaluation
     horizon: int = 0             # extrapolation steps; 0 means the planner's m
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(
+                f"key 'lam': expected a finite number >= 0, got {self.lam!r}")
+
     def merged(self, mapping, origin="config"):
         """New RunConfig with `mapping` applied over this one."""
-        allowed = {f.name: f.type for f in fields(self)}
-        out = RunConfig(**vars(self))
+        allowed = {f.name for f in fields(self)}
+        values = vars(self).copy()
         for key, raw in mapping.items():
             if key not in allowed:
                 raise ConfigError(f"unknown {origin} key {key!r}")
-            setattr(out, key, _coerce(key, raw, getattr(self, key)))
-        return out
+            values[key] = _coerce(key, raw, getattr(self, key))
+        return RunConfig(**values)
 
 
 def _coerce(key, raw, default):

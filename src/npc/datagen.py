@@ -10,7 +10,9 @@ class-1 series with unit noise; labels are 1000 zeros then 50 ones.
 
 CSV layout: header t,v1,...,vD[,label]; one row per observation; a blank
 line separates series; the label column, when present, is constant within
-a series.  Floats are written with repr so files round-trip exactly.
+a series.  A row whose value cells are all empty is a hidden point (mask
+False, values NaN).  Floats are written with repr so files round-trip
+exactly.
 """
 
 import csv
@@ -218,7 +220,7 @@ def save_csv(series_list, path):
             buf.write("\n")
         for k in range(s.length):
             row = [repr(float(s.times[k]))]
-            row += [repr(float(v)) for v in s.values[k]]
+            row += [repr(float(v)) if s.mask[k] else "" for v in s.values[k]]
             if labeled:
                 row.append(str(int(s.label)))
             writer.writerow(row)
@@ -227,7 +229,11 @@ def save_csv(series_list, path):
 
 
 def load_csv(path, normalizer=None):
-    """Parse a multi-series CSV; malformed rows report their line number."""
+    """Parse a multi-series CSV; malformed rows report their line number.
+
+    A row with every value cell empty is a hidden point; a row with only
+    some empty, or with a non-finite number, is rejected.
+    """
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines:
@@ -243,18 +249,19 @@ def load_csv(path, normalizer=None):
     width = 1 + d + (1 if labeled else 0)
 
     out = []
-    block_t, block_v, block_lab = [], [], None
+    block_t, block_v, block_seen, block_lab = [], [], [], None
 
     def flush(lineno):
-        nonlocal block_t, block_v, block_lab
+        nonlocal block_t, block_v, block_seen, block_lab
         if not block_t:
             return
         if np.any(np.diff(block_t) <= 0):
             raise CsvFormatError(
                 f"{path}:{lineno}: series times must be strictly increasing"
             )
-        out.append(TimeSeries(np.array(block_t), np.array(block_v), label=block_lab))
-        block_t, block_v, block_lab = [], [], None
+        out.append(TimeSeries(np.array(block_t), np.array(block_v),
+                              label=block_lab, mask=np.array(block_seen)))
+        block_t, block_v, block_seen, block_lab = [], [], [], None
 
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -265,12 +272,22 @@ def load_csv(path, normalizer=None):
             raise CsvFormatError(
                 f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
             )
+        cells = parts[1 : 1 + d]
+        empty = [not c.strip() for c in cells]
+        seen = not all(empty)
+        if seen and any(empty):
+            raise CsvFormatError(
+                f"{path}:{lineno}: some value cells are empty; a hidden "
+                "point leaves all of them empty"
+            )
         try:
             t = float(parts[0])
-            vals = [float(p) for p in parts[1 : 1 + d]]
+            vals = [float(c) for c in cells] if seen else [np.nan] * d
             lab = int(parts[-1]) if labeled else None
         except ValueError:
             raise CsvFormatError(f"{path}:{lineno}: malformed value") from None
+        if not np.isfinite(t) or (seen and not np.all(np.isfinite(vals))):
+            raise CsvFormatError(f"{path}:{lineno}: non-finite value")
         if labeled:
             if block_lab is None:
                 block_lab = lab
@@ -280,6 +297,7 @@ def load_csv(path, normalizer=None):
                 )
         block_t.append(t)
         block_v.append(vals)
+        block_seen.append(seen)
     flush(len(lines) + 1)
     if not out:
         raise CsvFormatError(f"{path}: no series found")

@@ -117,10 +117,43 @@ def op_checks(seed=0):
         ("softmax_cross_entropy_single",
          lambda x: ad.softmax_cross_entropy(x, 1), rng.normal(size=3)),
     ]
+    # fused ops: one check per differentiated input, named op_input; the
+    # first input's check carries the op's own name
+    dense = [rng.normal(size=(3, 4)), rng.normal(size=4),
+             rng.normal(size=(4, 2)), rng.normal(size=2)]
+    checks += _per_input("add_scaled", lambda a, b: ad.add_scaled(a, b, -1.7),
+                         ["a", "b"], [a23, b23])
+    checks += _per_input("linear", ad.linear, ["x", "w", "b"],
+                         [a23, w34, rng.normal(size=4)])
+    checks += _per_input("mlp", lambda x, *wb: ad.mlp(x, _pairs(wb)),
+                         ["x", "w0", "b0", "w1", "b1"], [a23] + dense)
+    checks += _per_input("mlp_out_tanh",
+                         lambda x, *wb: ad.mlp(x, _pairs(wb), out_tanh=True),
+                         ["x", "w0", "b0", "w1", "b1"], [a23] + dense)
+    checks += _per_input("gru_step", ad.gru_step,
+                         ["prev", "x", "wx", "wh", "b"],
+                         [rng.normal(size=(2, 4)), a23,
+                          rng.normal(size=(3, 12)), rng.normal(size=(4, 12)),
+                          rng.normal(size=12)])
     return checks
 
 
-OP_NAMES = sorted({name.split("_broadcast")[0] for name, _, _ in op_checks()})
+def _pairs(flat):
+    return list(zip(flat[::2], flat[1::2]))
+
+
+def _per_input(name, op, inputs, values):
+    """One check per input of `op`: that input is probed, the others stay
+    constants.  The loss squares the output so its adjoint is not uniform."""
+    out = []
+    for i, (label, v) in enumerate(zip(inputs, values)):
+        def f(x, i=i):
+            args = [ad.constant(u) for u in values]
+            args[i] = ad.reshape(x, values[i].shape)
+            return ad.sum_(ad.square(op(*args)))
+
+        out.append((name if i == 0 else f"{name}_{label}", f, v.ravel()))
+    return out
 
 
 def run_ops(seed=0, corrupt_op=None):

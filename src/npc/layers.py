@@ -1,7 +1,9 @@
 """Small neural building blocks on the tape: GRU cell, MLP, linear layer.
 
 Each layer owns a name prefix inside a ParamStore and operates on (B, d)
-batches.  Weight layout for the GRU is fused: wx (in, 3H) and wh (H, 3H)
+batches.  Each forward call is one fused tape node (autodiff.gru_step,
+autodiff.mlp, autodiff.linear), so a layer costs one node whatever its
+depth.  Weight layout for the GRU is fused: wx (in, 3H) and wh (H, 3H)
 hold the reset, update, and candidate blocks side by side.
 """
 
@@ -31,15 +33,10 @@ class GRUCell:
         store.create(f"{self.prefix}.b", np.zeros(3 * h), tag)
 
     def step(self, store, prev, x):
-        """prev (B,H), x (B,in) -> (B,H)."""
-        h = self.hidden
-        px = ad.add(ad.matmul(x, store.node(f"{self.prefix}.wx")), store.node(f"{self.prefix}.b"))
-        ph = ad.matmul(prev, store.node(f"{self.prefix}.wh"))
-        r = ad.sigmoid(ad.add(ad.narrow(px, -1, 0, h), ad.narrow(ph, -1, 0, h)))
-        u = ad.sigmoid(ad.add(ad.narrow(px, -1, h, h), ad.narrow(ph, -1, h, h)))
-        cand = ad.tanh(ad.add(ad.narrow(px, -1, 2 * h, h), ad.mul(r, ad.narrow(ph, -1, 2 * h, h))))
-        keep = ad.add_const(ad.neg(u), 1.0)
-        return ad.add(ad.mul(u, prev), ad.mul(keep, cand))
+        """prev (B,H), x (B,in) -> (B,H), one fused tape node."""
+        p = self.prefix
+        return ad.gru_step(prev, x, store.node(f"{p}.wx"),
+                           store.node(f"{p}.wh"), store.node(f"{p}.b"))
 
 
 class Linear:
@@ -53,7 +50,9 @@ class Linear:
         store.create(f"{self.prefix}.b", np.zeros(self.out_dim), tag)
 
     def apply(self, store, x):
-        return ad.add(ad.matmul(x, store.node(f"{self.prefix}.w")), store.node(f"{self.prefix}.b"))
+        """x (B, in) -> (B, out), one fused tape node."""
+        return ad.linear(x, store.node(f"{self.prefix}.w"),
+                         store.node(f"{self.prefix}.b"))
 
 
 class MLP:
@@ -74,10 +73,7 @@ class MLP:
             layer.init(store, tag, rng)
 
     def apply(self, store, x):
-        h = x
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            h = layer.apply(store, h)
-            if i < last or self.out_tanh:
-                h = ad.tanh(h)
-        return h
+        """x (B, dims[0]) -> (B, dims[-1]), one fused tape node."""
+        weights = [(store.node(f"{layer.prefix}.w"), store.node(f"{layer.prefix}.b"))
+                   for layer in self.layers]
+        return ad.mlp(x, weights, self.out_tanh)

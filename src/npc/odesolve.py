@@ -93,13 +93,13 @@ def span_steps(t0, t1, substeps, method, interior=()):
 
 def _step(f, h, dt, ts, method):
     if method == "euler":
-        return ad.add(h, ad.mul_const(f(h, ts[0]), dt))
+        return ad.add_scaled(h, f(h, ts[0]), dt)
     k1 = f(h, ts[0])
-    k2 = f(ad.add(h, ad.mul_const(k1, dt / 2.0)), ts[1])
-    k3 = f(ad.add(h, ad.mul_const(k2, dt / 2.0)), ts[2])
-    k4 = f(ad.add(h, ad.mul_const(k3, dt)), ts[3])
-    acc = ad.add(ad.add(k1, k4), ad.mul_const(ad.add(k2, k3), 2.0))
-    return ad.add(h, ad.mul_const(acc, dt / 6.0))
+    k2 = f(ad.add_scaled(h, k1, dt / 2.0), ts[1])
+    k3 = f(ad.add_scaled(h, k2, dt / 2.0), ts[2])
+    k4 = f(ad.add_scaled(h, k3, dt), ts[3])
+    acc = ad.add_scaled(ad.add(k1, k4), ad.add(k2, k3), 2.0)
+    return ad.add_scaled(h, acc, dt / 6.0)
 
 
 def integrate_span(f, h, t0, t1, substeps, method, interior=()):

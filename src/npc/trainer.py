@@ -102,6 +102,8 @@ class ModelBundle:
             raise ValueError(f"unknown task {task!r}")
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
         if algorithm == "single_horizon":
             # z doubles as the action, one look-ahead interval, no planner
             m = 1
@@ -258,13 +260,20 @@ class _WindowRunner:
                 z = ctrl.step(store, z, self.batch.values[:, j], self.dts[j])
                 self.zlist.append(z.z.value)
 
-    def _emit(self, z_state, a, m_eff):
+    def _emit(self, z_state, a, m_eff, carried=False):
+        """Plan from z_state at anchor a.  carried: z_state is the carried
+        zlist[a + 1] under frozen parameters, so the single-horizon second
+        action is the carried zlist[a + 2], stepped once and kept."""
         ctrl, store = self.bundle.controller, self.bundle.store
         times = self.batch.times[a : a + m_eff + 1]
         if self.algorithm == "npc":
             return ctrl.emit(store, z_state, a, times, horizon=m_eff)
-        nxt = ctrl.step(store, z_state, self.batch.values[:, a + 1],
-                        self.dts[a + 1])
+        if carried:
+            self._advance_zlist(a + 2)
+            nxt = ControllerState(ad.constant(self.zlist[a + 2]))
+        else:
+            nxt = ctrl.step(store, z_state, self.batch.values[:, a + 1],
+                            self.dts[a + 1])
         return ActionSequence(actions=[z_state.z, nxt.z], anchor=a,
                               anchor_times=times)
 
@@ -339,7 +348,8 @@ class _WindowRunner:
 
     def execute(self, z, a, m_eff, queries=()):
         """Advance the committed state across interval a with the plan
-        emitted from controller state z.
+        emitted from controller state z; z None emits from the carried
+        state zlist[a + 1] (frozen parameters).
 
         Returns (t, readout value) pairs for query times strictly inside
         (t_a, t_{a+1}).
@@ -349,7 +359,11 @@ class _WindowRunner:
             if self.h_comm is None:     # committed state at t_0
                 self.h_comm = model.encode_initial(
                     store, self.batch.values[:, 0]).value
-            seq = self._emit(z, a, m_eff)
+            carried = z is None
+            if carried:
+                self._advance_zlist(a + 1)
+                z = ControllerState(ad.constant(self.zlist[a + 1]))
+            seq = self._emit(z, a, m_eff, carried)
             states, h_end = model.commit_step(
                 store, ad.constant(self.h_comm), seq, self.substeps,
                 self.method, queries=queries)
@@ -461,10 +475,8 @@ def _committed_pass(bundle, batch, queries=None):
     for a, m_eff in runner.anchors():
         # frozen parameters: the carried state after obs a is exactly what
         # a replay would rebuild, so the plan is emitted from it directly
-        runner._advance_zlist(a + 1)
-        z = ControllerState(ad.constant(runner.zlist[a + 1]))
         inner = () if queries is None else tuple(queries.get(a, ()))
-        query_out.extend(runner.execute(z, a, m_eff, queries=inner))
+        query_out.extend(runner.execute(None, a, m_eff, queries=inner))
         committed.append(runner.h_comm)
     return committed, query_out, runner
 
@@ -584,10 +596,12 @@ def evaluate_interpolation(bundle, series_list):
 
     Takes the dropped series in data units; the bundle's normalizer is
     applied internally, so predictions and truth compare like for like.
+    A hidden point without a value (NaN, as a CSV hidden row loads) has
+    no truth and is not scored.
     """
     preds, truths = [], []
     for s in series_list:
-        hidden = ~s.mask
+        hidden = ~s.mask & ~np.isnan(s.values).any(axis=1)
         if not hidden.any():
             continue
         q = s.times[hidden]

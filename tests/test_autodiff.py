@@ -141,3 +141,125 @@ def test_grad_accumulates_once_per_backward():
     ad.backward(out)
     first = x.grad.copy()
     np.testing.assert_allclose(first, [4.0])
+
+
+# -- fused ops against the same computation in primitive ops ----------------
+
+def _primitive_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+def _primitive_mlp(out_tanh):
+    def run(x, *wb):
+        h = x
+        last = len(wb) // 2 - 1
+        for i in range(last + 1):
+            h = _primitive_linear(h, wb[2 * i], wb[2 * i + 1])
+            if i < last or out_tanh:
+                h = ad.tanh(h)
+        return h
+    return run
+
+
+def _fused_mlp(out_tanh):
+    def run(x, *wb):
+        return ad.mlp(x, list(zip(wb[::2], wb[1::2])), out_tanh)
+    return run
+
+
+def _primitive_gru_step(prev, x, wx, wh, b):
+    h = prev.value.shape[1]
+    px = ad.add(ad.matmul(x, wx), b)
+    ph = ad.matmul(prev, wh)
+    r = ad.sigmoid(ad.add(ad.narrow(px, -1, 0, h), ad.narrow(ph, -1, 0, h)))
+    u = ad.sigmoid(ad.add(ad.narrow(px, -1, h, h), ad.narrow(ph, -1, h, h)))
+    cand = ad.tanh(ad.add(ad.narrow(px, -1, 2 * h, h),
+                          ad.mul(r, ad.narrow(ph, -1, 2 * h, h))))
+    keep = ad.add_const(ad.neg(u), 1.0)
+    return ad.add(ad.mul(u, prev), ad.mul(keep, cand))
+
+
+_RNG = np.random.default_rng(11)
+_DENSE = [_RNG.normal(size=s) for s in [(4, 3), (3, 5), (5,), (5, 2), (2,)]]
+
+_COLUMN = _RNG.uniform(0.1, 1.0, size=(4, 1))
+
+FUSED_CASES = {
+    "add_scaled": (lambda a, b: ad.add_scaled(a, b, 0.3),
+                   lambda a, b: ad.add(a, ad.mul_const(b, 0.3)),
+                   [_RNG.normal(size=(4, 3)), _RNG.normal(size=(4, 3))]),
+    "add_scaled_column": (lambda a, b: ad.add_scaled(a, b, _COLUMN),
+                          lambda a, b: ad.add(a, ad.mul_const(b, _COLUMN)),
+                          [_RNG.normal(size=(4, 3)), _RNG.normal(size=(4, 3))]),
+    "linear": (ad.linear, _primitive_linear, _DENSE[:3]),
+    "mlp": (_fused_mlp(False), _primitive_mlp(False), _DENSE),
+    "mlp_out_tanh": (_fused_mlp(True), _primitive_mlp(True), _DENSE),
+    "gru_step": (ad.gru_step, _primitive_gru_step,
+                 [_RNG.normal(size=s) for s in
+                  [(4, 3), (4, 2), (2, 9), (3, 9), (9,)]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_CASES))
+def test_fused_op_matches_primitive_ops(name):
+    fused, primitive, values = FUSED_CASES[name]
+    results = []
+    for op in (fused, primitive):
+        nodes = [ad.leaf(v) for v in values]
+        out = op(*nodes)
+        # squaring makes the output adjoint differ entry by entry
+        ad.backward(ad.sum_(ad.square(out)))
+        results.append((out.value, [n.grad for n in nodes]))
+    (got, got_grads), (want, want_grads) = results
+    assert len(fused(*[ad.leaf(v) for v in values]).parents) == len(values)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+def test_fused_ops_skip_constant_input_adjoint():
+    x = ad.constant(_DENSE[0])
+    w, b = ad.leaf(_DENSE[1]), ad.leaf(_DENSE[2])
+    ad.backward(ad.sum_(ad.square(ad.linear(x, w, b))))
+    assert x.grad is None
+    np.testing.assert_allclose(
+        w.grad, _DENSE[0].T @ (2.0 * (_DENSE[0] @ _DENSE[1] + _DENSE[2])),
+        rtol=1e-12)
+
+
+@pytest.mark.parametrize("call,needle", [
+    (lambda: ad.add_scaled(ad.constant(np.ones((4, 3))),
+                           ad.constant(np.ones((1, 3))), 2.0),
+     "add_scaled: shapes (4, 3) + (1, 3)"),
+    (lambda: ad.add_scaled(ad.constant(np.ones((4, 3))),
+                           ad.constant(np.ones((4, 3))), np.ones((2, 4, 3))),
+     "add_scaled: shapes (4, 3) + (4, 3) * (2, 4, 3)"),
+    (lambda: ad.linear(ad.constant(np.ones(3)), ad.constant(np.ones((3, 2))),
+                       ad.constant(np.zeros(2))), "(3,) @ (3, 2) + (2,)"),
+    (lambda: ad.linear(ad.constant(np.ones((4, 3))),
+                       ad.constant(np.ones((2, 2))),
+                       ad.constant(np.zeros(2))), "(4, 3) @ (2, 2)"),
+    (lambda: ad.mlp(ad.constant(np.ones((4, 3))),
+                    [(ad.constant(np.ones((3, 2))), ad.constant(np.zeros(3)))]),
+     "(3, 2) + (3,)"),
+    (lambda: ad.gru_step(ad.constant(np.ones((4, 3))),
+                         ad.constant(np.ones((4, 2))),
+                         ad.constant(np.ones((2, 6))),
+                         ad.constant(np.ones((3, 6))),
+                         ad.constant(np.zeros(6))), "gru_step: state (4, 3)"),
+])
+def test_fused_op_shape_errors(call, needle):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("sa,sb,needle", [
+    ((2, 3), (4, 3), "add: shapes (2, 3) and (4, 3) do not align"),
+    ((1, 3), (2, 1), "add: broadcast may only promote a trailing shape"),
+])
+def test_elementwise_shape_error_messages(sa, sb, needle):
+    with pytest.raises(ValueError) as err:
+        ad.add(ad.constant(np.ones(sa)), ad.constant(np.ones(sb)))
+    assert needle in str(err.value)

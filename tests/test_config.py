@@ -82,3 +82,13 @@ def test_composition_order(tmp_path):
     assert cfg.epochs == 9
     assert cfg.window == 4  # from preset, untouched downstream
     assert cfg.lr == 0.001
+
+
+@pytest.mark.parametrize("lam", ["-1", "nan", "inf"])
+def test_lam_must_be_finite_and_nonnegative(tmp_path, lam):
+    with pytest.raises(ConfigError, match="lam"):
+        RunConfig().merged({"lam": lam})
+    path = tmp_path / "run.conf"
+    path.write_text(f"lam = {lam}\n")
+    with pytest.raises(ConfigError, match="lam"):
+        load_run_config(path)

@@ -158,6 +158,20 @@ def test_csv_round_trip(tmp_path):
         assert b.label is None
 
 
+def test_csv_round_trip_hidden_points(tmp_path):
+    series = [drop_observations(s, 0.5, seed=i) for i, s in
+              enumerate(gen_sine_regression(n_series=3, length=20, seed=2))]
+    assert all((~s.mask).any() for s in series)
+    path = tmp_path / "dropped.csv"
+    save_csv(series, path)
+    back = load_csv(path)
+    for a, b in zip(series, back):
+        np.testing.assert_array_equal(a.times, b.times)
+        np.testing.assert_array_equal(a.mask, b.mask)
+        np.testing.assert_array_equal(a.observed()[1], b.observed()[1])
+        assert np.all(np.isnan(b.values[~b.mask]))
+
+
 def test_csv_round_trip_labeled(tmp_path):
     series = gen_toy_train(seed=0, normalize=False)[:4]
     path = tmp_path / "toy.csv"
@@ -193,6 +207,10 @@ def _write(tmp_path, text):
     ("t,v1\n1,0\n0,1\n", ":4: series times must be strictly increasing"),
     ("t,v1,label\n0,1,0\n1,2,1\n", ":3: label changes"),
     ("t,v1\n\n", "no series found"),
+    ("t,v1,v2\n0,1,2\n1,,3\n", ":3: some value cells are empty"),
+    ("t,v1\n0,1\n1,nan\n", ":3: non-finite value"),
+    ("t,v1\n0,inf\n", ":2: non-finite value"),
+    ("t,v1\nnan,1\n", ":2: non-finite value"),
 ])
 def test_csv_malformed_inputs(tmp_path, text, needle):
     with pytest.raises(CsvFormatError) as err:

@@ -70,3 +70,17 @@ def test_cde_suite_near_zero_coordinate_passes():
     # fixed 1e-8 floor rejected
     results = gradcheck.run_component("cde", seed=1)
     assert max(results.values()) < gradcheck.TOL
+
+
+def test_every_public_op_has_a_check():
+    exempt = {"Node", "constant", "leaf", "no_grad", "grad_enabled",
+              "backward"}
+    ops = {name.rstrip("_") for name in ad.__all__} - exempt
+    checked = {name for name, _, _ in gradcheck.op_checks()}
+    assert sorted(ops - checked) == []
+
+
+def test_corrupted_fused_rule_is_caught():
+    with pytest.raises(gradcheck.GradCheckError) as err:
+        gradcheck.run_ops(seed=0, corrupt_op="gru_step")
+    assert "gru_step" in str(err.value)

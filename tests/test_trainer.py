@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import npc.autodiff as ad
-from npc.controller import Controller
+from npc.controller import Controller, ControllerState
 from npc.datagen import Normalizer, TimeSeries, drop_observations, gen_sine_regression
 from npc.trainer import (ModelBundle, TrainConfig, TrainingDiverged, _Batch,
                          _group_series, _WindowRunner, classify,
@@ -39,6 +39,12 @@ def test_build_meta_and_validation():
         ModelBundle.build(task="ranking", obs_dim=1)
     with pytest.raises(ValueError):
         ModelBundle.build(task="regression", obs_dim=1, algorithm="a2c")
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_build_rejects_negative_or_non_finite_lam(lam):
+    with pytest.raises(ValueError, match="lam"):
+        ModelBundle.build(task="regression", obs_dim=1, lam=lam)
 
 
 def test_single_horizon_forces_reference_shape():
@@ -213,6 +219,59 @@ def test_classify_steps_controller_once_per_interval(backend, monkeypatch):
     np.testing.assert_array_equal(probs, p.max(axis=1))
 
 
+def test_single_horizon_classify_steps_controller_once_per_observation(
+        monkeypatch):
+    series = _class_series(n=2, length=100, seed=4)
+    bundle = _tiny_bundle(algorithm="single_horizon", seed=4)
+    # reference: emit from each carried state by stepping over obs a + 1
+    runner = _WindowRunner(bundle, _Batch(series))
+    for a, m_eff in runner.anchors():
+        runner._advance_zlist(a + 1)
+        z = ControllerState(ad.constant(runner.zlist[a + 1]))
+        runner.execute(z, a, m_eff)
+    with ad.no_grad():
+        logits = bundle.model.readout(bundle.store,
+                                      ad.constant(runner.h_comm)).value
+
+    steps = []
+    original = Controller.step
+
+    def counting(self, *args, **kwargs):
+        steps.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Controller, "step", counting)
+    preds, probs = classify(bundle, series)
+    assert len(steps) == 100
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    np.testing.assert_array_equal(preds, p.argmax(axis=1))
+    np.testing.assert_array_equal(probs, p.max(axis=1))
+
+
+def test_window_tape_stays_within_node_budget():
+    # the criterion-2 sine model at B = 1; a window's tape depends on m,
+    # window and substeps, not on which points the clock keeps
+    series = gen_sine_regression(1, 64, seed=0, cycles=1.5, noise=0.02)
+    bundle = ModelBundle.build(
+        task="regression", obs_dim=1, backend="ode_rnn", m=5, window=4,
+        lam=0.1, action_dim=8, ctrl_hidden=16, model_hidden=16, substeps=2,
+        seed=0)
+    runner = _WindowRunner(bundle, _Batch(series))
+    anchor = 4
+    for a, m_eff in runner.anchors()[:anchor]:
+        runner.commit(a, m_eff)
+    loss = runner.window_objective(anchor, 5)
+    seen = {loss.id}
+    stack = [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if p.requires and p.id not in seen:
+                seen.add(p.id)
+                stack.append(p)
+    assert len(seen) <= 300
+
+
 def test_classify_wrong_task_rejected():
     bundle = _tiny_bundle(task="regression")
     with pytest.raises(ValueError):
@@ -279,6 +338,18 @@ def test_evaluate_interpolation():
     full = [TimeSeries(s.times, s.values) for s in dropped]
     with pytest.raises(ValueError):
         evaluate_interpolation(bundle, full)
+
+
+def test_evaluate_interpolation_skips_hidden_points_without_value():
+    bundle, dropped = _trained_regression()
+    s = dropped[0]
+    values = s.values.copy()
+    values[np.flatnonzero(~s.mask)[0]] = np.nan
+    unknown = TimeSeries(s.times, values, mask=s.mask)
+    res = evaluate_interpolation(bundle, [unknown] + dropped[1:])
+    full = evaluate_interpolation(bundle, dropped)
+    assert res["n_points"] == full["n_points"] - 1
+    assert np.isfinite(res["rmse"])
 
 
 def test_sweep_deterministic_and_parallel_equal():
