@@ -137,7 +137,8 @@ def _write_tidy(bundle, series_list, path):
     """Per-point CSV for plotting: model value at every series time.
 
     mask is 1 where the model saw the observation, 0 where it was held
-    out.  Multichannel series get one row per channel.
+    out; truth is empty where the data has no value (a hidden CSV row).
+    Multichannel series get one row per channel.
     """
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -147,8 +148,9 @@ def _write_tidy(bundle, series_list, path):
             pred = trainer.interpolate(bundle, s, s.times)
             for k in range(s.length):
                 for c in range(s.channels):
+                    v = float(s.values[k, c])
                     w.writerow([si, repr(float(s.times[k])), c + 1,
-                                repr(float(s.values[k, c])),
+                                "" if np.isnan(v) else repr(v),
                                 repr(float(pred[k, c])), int(s.mask[k])])
     log.info("wrote %s", path)
 
@@ -261,6 +263,9 @@ def cmd_extrapolate(args):
     k = cfg.horizon if cfg.horizon > 0 else m
     if k > m:
         raise ConfigError(f"horizon {k} exceeds the planner horizon {m}")
+    if not any(s.mask[-k:].any() for s in raw):
+        raise ConfigError(f"no series has an observed value among its last "
+                          f"{k} points, so there is nothing to score")
     path = _out_path(cfg, "extrapolation.csv")
     sq_sum, n_pts = 0.0, 0
     with open(path, "w", newline="") as f:
@@ -276,12 +281,13 @@ def cmd_extrapolate(args):
                              mask=s.mask[:-k])
             pred = trainer.extrapolate(bundle, ctx, s.times[-k:])
             truth = s.values[-k:]
-            sq_sum += float(np.sum((pred - truth) ** 2))
-            n_pts += truth.size
+            seen = s.mask[-k:]      # hidden tail points have no truth
+            sq_sum += float(np.sum((pred[seen] - truth[seen]) ** 2))
+            n_pts += truth[seen].size
             for j in range(k):
                 for c in range(s.channels):
                     w.writerow([si, repr(float(s.times[-k + j])), c + 1,
-                                repr(float(truth[j, c])),
+                                repr(float(truth[j, c])) if seen[j] else "",
                                 repr(float(pred[j, c])), 0])
     rmse = (sq_sum / n_pts) ** 0.5
     print(f"extrapolated {k} steps on {len(raw)} series, "

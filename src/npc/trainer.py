@@ -260,20 +260,16 @@ class _WindowRunner:
                 z = ctrl.step(store, z, self.batch.values[:, j], self.dts[j])
                 self.zlist.append(z.z.value)
 
-    def _emit(self, z_state, a, m_eff, carried=False):
-        """Plan from z_state at anchor a.  carried: z_state is the carried
-        zlist[a + 1] under frozen parameters, so the single-horizon second
-        action is the carried zlist[a + 2], stepped once and kept."""
+    def _emit(self, z_state, a, m_eff):
+        """Plan from z_state at anchor a.  Single-horizon plans run only
+        under frozen parameters (training uses rollout_objective), so their
+        second action is the carried zlist[a + 2], stepped once and kept."""
         ctrl, store = self.bundle.controller, self.bundle.store
         times = self.batch.times[a : a + m_eff + 1]
         if self.algorithm == "npc":
             return ctrl.emit(store, z_state, a, times, horizon=m_eff)
-        if carried:
-            self._advance_zlist(a + 2)
-            nxt = ControllerState(ad.constant(self.zlist[a + 2]))
-        else:
-            nxt = ctrl.step(store, z_state, self.batch.values[:, a + 1],
-                            self.dts[a + 1])
+        self._advance_zlist(a + 2)
+        nxt = ControllerState(ad.constant(self.zlist[a + 2]))
         return ActionSequence(actions=[z_state.z, nxt.z], anchor=a,
                               anchor_times=times)
 
@@ -348,8 +344,7 @@ class _WindowRunner:
 
     def execute(self, z, a, m_eff, queries=()):
         """Advance the committed state across interval a with the plan
-        emitted from controller state z; z None emits from the carried
-        state zlist[a + 1] (frozen parameters).
+        emitted from controller state z.
 
         Returns (t, readout value) pairs for query times strictly inside
         (t_a, t_{a+1}).
@@ -359,11 +354,7 @@ class _WindowRunner:
             if self.h_comm is None:     # committed state at t_0
                 self.h_comm = model.encode_initial(
                     store, self.batch.values[:, 0]).value
-            carried = z is None
-            if carried:
-                self._advance_zlist(a + 1)
-                z = ControllerState(ad.constant(self.zlist[a + 1]))
-            seq = self._emit(z, a, m_eff, carried)
+            seq = self._emit(z, a, m_eff)
             states, h_end = model.commit_step(
                 store, ad.constant(self.h_comm), seq, self.substeps,
                 self.method, queries=queries)
@@ -475,8 +466,10 @@ def _committed_pass(bundle, batch, queries=None):
     for a, m_eff in runner.anchors():
         # frozen parameters: the carried state after obs a is exactly what
         # a replay would rebuild, so the plan is emitted from it directly
+        runner._advance_zlist(a + 1)
+        z = ControllerState(ad.constant(runner.zlist[a + 1]))
         inner = () if queries is None else tuple(queries.get(a, ()))
-        query_out.extend(runner.execute(None, a, m_eff, queries=inner))
+        query_out.extend(runner.execute(z, a, m_eff, queries=inner))
         committed.append(runner.h_comm)
     return committed, query_out, runner
 

@@ -155,6 +155,59 @@ def test_extrapolate(trained, tmp_path, capsys):
     assert len(lines) == 1 + 4 * 2  # m=2 tail points per series
 
 
+def _hide_tail(path, series, hide):
+    """Save series with the points hide[i] places before the end hidden."""
+    out = []
+    for s in series:
+        mask = s.mask.copy()
+        mask[[s.length - 1 - j for j in hide]] = False
+        out.append(TimeSeries(s.times, s.values, mask=mask))
+    save_csv(out, path)
+
+
+def test_extrapolate_scores_only_observed_tail_points(trained, tmp_path,
+                                                      capsys):
+    data = tmp_path / "tail.csv"
+    _hide_tail(data, gen_sine_regression(n_series=4, length=16, seed=0),
+               hide=[0])
+    out = tmp_path / "extra"
+    code = main(["extrapolate", str(trained["ckpt"]), str(data),
+                 "--config", str(trained["cfg"]), "--out", str(out)])
+    assert code == 0
+    rmse = float(capsys.readouterr().out.split("rmse ")[1].split(";")[0])
+    assert np.isfinite(rmse)
+    rows = (out / "extrapolation.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 * 2
+    truth = [r.split(",")[3] for r in rows]
+    assert truth[1::2] == [""] * 4      # the hidden last point of each
+    assert all(truth[0::2])
+
+
+def test_interpolate_leaves_truth_of_hidden_rows_empty(trained, tmp_path):
+    data = tmp_path / "hidden.csv"
+    _hide_tail(data, gen_sine_regression(n_series=4, length=16, seed=0),
+               hide=[1])
+    out = tmp_path / "interp"
+    code = main(["interpolate", str(trained["ckpt"]), str(data),
+                 "--config", str(trained["cfg"]), "--out", str(out)])
+    assert code == 0
+    rows = [r.split(",") for r in
+            (out / "interpolation.csv").read_text().splitlines()[1:]]
+    hidden = [r for r in rows if r[3] == ""]
+    assert len(hidden) == 4
+    assert all(r[5] == "0" and np.isfinite(float(r[4])) for r in hidden)
+
+
+def test_extrapolate_without_observed_tail_exit_1(trained, tmp_path, capsys):
+    data = tmp_path / "tail.csv"
+    _hide_tail(data, gen_sine_regression(n_series=4, length=16, seed=0),
+               hide=[0, 1])
+    code = main(["extrapolate", str(trained["ckpt"]), str(data),
+                 "--config", str(trained["cfg"]), "--out", str(tmp_path)])
+    assert code == 1
+    assert "nothing to score" in capsys.readouterr().err
+
+
 def test_extrapolate_horizon_too_large_exit_1(trained, tmp_path, capsys):
     cfg = tmp_path / "h.cfg"
     cfg.write_text(TINY + f"data = {trained['data']}\nhorizon = 9\n")

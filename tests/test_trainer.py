@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import npc.autodiff as ad
-from npc.controller import Controller, ControllerState
+from npc.controller import ActionSequence, Controller, ControllerState
 from npc.datagen import Normalizer, TimeSeries, drop_observations, gen_sine_regression
 from npc.trainer import (ModelBundle, TrainConfig, TrainingDiverged, _Batch,
                          _group_series, _WindowRunner, classify,
@@ -223,15 +223,24 @@ def test_single_horizon_classify_steps_controller_once_per_observation(
         monkeypatch):
     series = _class_series(n=2, length=100, seed=4)
     bundle = _tiny_bundle(algorithm="single_horizon", seed=4)
-    # reference: emit from each carried state by stepping over obs a + 1
-    runner = _WindowRunner(bundle, _Batch(series))
-    for a, m_eff in runner.anchors():
-        runner._advance_zlist(a + 1)
-        z = ControllerState(ad.constant(runner.zlist[a + 1]))
-        runner.execute(z, a, m_eff)
+    # reference: the actions of interval a are the carried state after
+    # obs a and one more step over obs a + 1, re-stepped per interval
+    batch = _Batch(series)
+    runner = _WindowRunner(bundle, batch)
+    store, model, ctrl = bundle.store, bundle.model, bundle.controller
     with ad.no_grad():
-        logits = bundle.model.readout(bundle.store,
-                                      ad.constant(runner.h_comm)).value
+        h = model.encode_initial(store, batch.values[:, 0])
+        for a, m_eff in runner.anchors():
+            runner._advance_zlist(a + 1)
+            z = ControllerState(ad.constant(runner.zlist[a + 1]))
+            nxt = ctrl.step(store, z, batch.values[:, a + 1],
+                            runner.dts[a + 1])
+            seq = ActionSequence(actions=[z.z, nxt.z], anchor=a,
+                                 anchor_times=batch.times[a : a + m_eff + 1])
+            _, h = model.commit_step(store, ad.constant(h.value), seq,
+                                     bundle.meta["substeps"],
+                                     bundle.meta["method"])
+        logits = model.readout(store, h).value
 
     steps = []
     original = Controller.step
