@@ -14,10 +14,12 @@ promoted); anything richer must be spelled out by the caller.
 The arrays are small (a batch of a few series by a few dozen units), so a
 graph's cost is the Python work per node more than the arithmetic.  The
 fused ops add_scaled (a + b * c, the solver's update), linear, mlp (a
-whole dense stack) and gru_step (one GRU cell) each build a single node
-whose hand-written adjoint repeats the arithmetic of the primitive-op
-graph they replace.  Each op, fused or primitive, has a finite-difference
-check in gradcheck.op_checks.
+whole dense stack over column blocks it joins itself), cde_field (a dense
+stack read as matrices times one row of a vector node, the cde's vector
+field), gru_step (one GRU cell) and mse (one squared-error term) each
+build a single node whose hand-written adjoint repeats the arithmetic of
+the primitive-op graph they replace.  Each op, fused or primitive, has a
+finite-difference check in gradcheck.op_checks.
 
 State is confined to the calling thread: the grad-enabled flag is
 thread-local and node ids come from a single monotone counter, so distinct
@@ -36,7 +38,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "add_const", "mul_const", "matmul",
     "bmatvec", "tanh", "relu", "sigmoid", "log", "square", "concat",
     "narrow", "reshape", "sum_", "mean_", "softmax_cross_entropy",
-    "add_scaled", "linear", "mlp", "gru_step",
+    "add_scaled", "linear", "mlp", "cde_field", "gru_step", "mse",
 ]
 
 _ids = itertools.count()
@@ -371,8 +373,11 @@ def concat(nodes, axis=0):
     except ValueError:
         shapes = [n.value.shape for n in nodes]
         raise ValueError(f"concat: shapes {shapes} do not align on axis {axis}") from None
-    sizes = [n.value.shape[axis] for n in nodes]
-    splits = np.cumsum(sizes)[:-1]
+    splits = []
+    end = 0
+    for n in nodes[:-1]:
+        end += n.value.shape[axis]
+        splits.append(end)
 
     def back(g):
         return tuple(np.split(g, splits, axis=axis))
@@ -507,33 +512,149 @@ def linear(x, w, b):
     return _make(vx @ vw + b.value, (x, w, b), back)
 
 
-def mlp(x, layers, out_tanh=False):
-    """Dense stack over x (B, k); `layers` is a list of (w, b) nodes.
+def _join(op, blocks):
+    """Column blocks (nodes or data arrays, each (B, k_i)) -> the joined
+    (B, sum k_i) input, the node blocks and each one's column span."""
+    vals = [blk.value if isinstance(blk, Node) else _as_f64(blk)
+            for blk in blocks]
+    if not vals or any(v.ndim != 2 or v.shape[0] != vals[0].shape[0]
+                       for v in vals):
+        raise ValueError(
+            f"{op}: input blocks {[v.shape for v in vals]} must be "
+            "(B, k_i) with one B"
+        )
+    nodes, spans = [], []
+    end = 0
+    for blk, v in zip(blocks, vals):
+        if isinstance(blk, Node):
+            nodes.append(blk)
+            spans.append((end, end + v.shape[1]))
+        end += v.shape[1]
+    x = vals[0] if len(vals) == 1 else np.concatenate(vals, axis=1)
+    return x, tuple(nodes), spans
 
-    Every layer but the last is followed by tanh, the last one too when
-    out_tanh.  The node's parents are x, w0, b0, w1, b1, ...
-    """
+
+def _dense(op, x, layers, out_tanh):
+    """Activations of a dense stack: the input of each layer, then the
+    output.  tanh follows every layer but the last, the last too when
+    out_tanh."""
     last = len(layers) - 1
-    acts = [x.value]             # input of each layer, then the output
+    acts = [x]
     for i, (w, b) in enumerate(layers):
-        _check_dense("mlp", acts[-1], w.value, b.value)
+        _check_dense(op, acts[-1], w.value, b.value)
         h = acts[-1] @ w.value + b.value
         acts.append(np.tanh(h) if i < last or out_tanh else h)
+    return acts
+
+
+def _dense_back(g, acts, layers, out_tanh, nodes, spans):
+    """Adjoints of a dense stack's node blocks, then of w0, b0, w1, b1, ...
+    given the adjoint g of its output."""
+    last = len(layers) - 1
+    need_x = any(n.requires for n in nodes)
+    grads = []
+    for i in range(last, -1, -1):
+        if i < last or out_tanh:
+            t = acts[i + 1]
+            g = g * (1.0 - t * t)
+        grads += [g.sum(axis=0), acts[i].T @ g]
+        g = g @ layers[i][0].value.T if i or need_x else None
+    blocks = [None if g is None else g[:, a:b] for a, b in spans]
+    return blocks + grads[::-1]
+
+
+def _weights(layers):
+    return tuple(n for pair in layers for n in pair)
+
+
+def mlp(blocks, layers, out_tanh=False):
+    """Dense stack over the column blocks of its input; `layers` is a list
+    of (w, b) nodes.
+
+    blocks (nodes or data arrays, each (B, k_i)) are joined side by side
+    inside the node, so the first layer is one matmul; each node block
+    gets its own slice of the input adjoint.  Every layer but the last is
+    followed by tanh, the last one too when out_tanh.  The node's parents
+    are the node blocks, then w0, b0, w1, b1, ...
+    """
+    x, nodes, spans = _join("mlp", blocks)
+    acts = _dense("mlp", x, layers, out_tanh)
 
     def back(g):
-        grads = []
-        for i in range(last, -1, -1):
-            if i < last or out_tanh:
-                t = acts[i + 1]
-                g = g * (1.0 - t * t)
-            w = layers[i][0].value
-            grads += [g.sum(axis=0), acts[i].T @ g]
-            g = g @ w.T if i or x.requires else None
-        grads.append(g)
-        return tuple(reversed(grads))
+        return _dense_back(g, acts, layers, out_tanh, nodes, spans)
 
-    parents = (x,) + tuple(n for pair in layers for n in pair)
-    return _make(acts[-1], parents, back)
+    return _make(acts[-1], nodes + _weights(layers), back)
+
+
+def cde_field(blocks, layers, rows, i, out_tanh=False):
+    """One evaluation F(x) @ rows[:, i] of a matrix-valued field.
+
+    F is the dense stack of mlp over `blocks`, its (B, n * c) output read
+    as (B, n, c) matrices; rows is a (B, S, c) node of which row i is the
+    vector each matrix multiplies.  -> (B, n).  The node's parents are the
+    node blocks, w0, b0, w1, b1, ..., then rows, whose adjoint is zero
+    outside row i.
+    """
+    x, nodes, spans = _join("cde_field", blocks)
+    acts = _dense("cde_field", x, layers, out_tanh)
+    flat, vr = acts[-1], rows.value
+    if (vr.ndim != 3 or vr.shape[0] != flat.shape[0]
+            or flat.shape[1] % vr.shape[2] or not 0 <= i < vr.shape[1]):
+        raise ValueError(
+            f"cde_field: field output {flat.shape} and row {i} of "
+            f"{vr.shape} do not align"
+        )
+    mat = flat.reshape(flat.shape[0], -1, vr.shape[2])
+    row = vr[:, i]
+
+    def back(g):
+        d_flat = np.einsum("bn,bk->bnk", g, row).reshape(flat.shape)
+        grads = _dense_back(d_flat, acts, layers, out_tanh, nodes, spans)
+        d_rows = None
+        if rows.requires:
+            d_rows = np.zeros(vr.shape)
+            d_rows[:, i] = np.einsum("bnk,bn->bk", mat, g)
+        return grads + [d_rows]
+
+    value = np.einsum("bnk,bk->bn", mat, row)
+    return _make(value, nodes + _weights(layers) + (rows,), back)
+
+
+def mse(pred, target, weights=None):
+    """Mean squared error of pred (B, D) against data target (B, D): the
+    mean over channels, then the mean over the batch, or with weights
+    (B,) the weighted mean over the batch.  -> scalar node."""
+    vp = pred.value
+    t = _as_f64(target)
+    if vp.ndim != 2 or t.shape != vp.shape:
+        raise ValueError(
+            f"mse: prediction {vp.shape} and target {t.shape} must be "
+            "one (B, D) shape"
+        )
+    diff = vp - t
+    per = (diff * diff).mean(axis=1)
+    if weights is None:
+        scale = None
+        value = per.mean()
+    else:
+        w = _as_f64(weights)
+        if w.shape != per.shape:
+            raise ValueError(
+                f"mse: weights {w.shape} do not match batch {per.shape}")
+        total = w.sum()
+        if total <= 0:
+            raise ValueError("no available targets in this term")
+        scale = w / total
+        value = (per * scale).sum()
+
+    def back(g):
+        if scale is None:
+            d_per = np.broadcast_to(g / per.size, per.shape)
+        else:
+            d_per = g * scale
+        return (2.0 * diff * (d_per[:, None] / vp.shape[1]),)
+
+    return _make(np.asarray(value), (pred,), back)
 
 
 def gru_step(prev, x, wx, wh, b):

@@ -4,17 +4,21 @@ Two backends evolve a hidden state h across the action sequence's span:
 
 * ode_rnn: between anchors, dh/dt = f(h, u_k, t) with the interval's
   action held constant; at each interval end a GRU jump folds in the next
-  action.  f is an MLP over concat(h, u, t) with tanh hidden layers.
+  action.  f is an MLP with tanh hidden layers over the column blocks
+  h, u and t, one fused tape node per evaluation.
 * cde: the actions (with time appended as an extra channel) are knots of
   a natural cubic spline U(t); dh/dt = F(h, t) dU/dt where F maps the
-  state to an H x (D_u + 1) matrix, bounded by a final tanh.
+  state to an H x (D_u + 1) matrix, bounded by a final tanh.  Each
+  evaluation of F(h, t) dU/dt is one autodiff.cde_field node.
 
 Each backend has one integration path: one interval is one
 integrate_span call, evolve repeats it over the window and commit_step is
 the same call on the first interval.  The cde evaluates its spline
-derivative once per call, as one weight matrix over every stage time the
-solver will visit (odesolve.span_steps lists them).  Gradients flow into
-the actions (through the spline for the cde) and into the phi parameters.
+derivative once per call, as one (B, S, D_u + 1) tape node of dU/dt rows
+at every stage time the solver will visit (odesolve.span_steps lists
+them); the field evaluations read their rows by stage index.  Gradients
+flow into the actions (through the spline for the cde) and into the phi
+parameters.
 States are (B, H); interval times may be shared floats or per-series
 (B, 1) arrays.
 """
@@ -69,9 +73,10 @@ class HiddenTrajectory:
 
 
 def _tcol(t, batch):
+    """Time as a (B, 1) data column."""
     if isinstance(t, np.ndarray):
-        return ad.constant(np.broadcast_to(t.reshape(-1, 1), (batch, 1)).copy())
-    return ad.constant(np.full((batch, 1), float(t)))
+        return np.broadcast_to(t.reshape(-1, 1), (batch, 1))
+    return np.full((batch, 1), float(t))
 
 
 class ContinuousModel:
@@ -103,14 +108,7 @@ class ContinuousModel:
         return ad.tanh(self.encoder.apply(store, x))
 
     def f(self, store, h, u, t):
-        inp = ad.concat([h, u, _tcol(t, h.value.shape[0])], axis=1)
-        return self.fnet.apply(store, inp)
-
-    def cde_matrix(self, store, h, t):
-        b = h.value.shape[0]
-        inp = ad.concat([h, _tcol(t, b)], axis=1)
-        flat = self.cde_net.apply(store, inp)
-        return ad.reshape(flat, (b, self.cfg.hidden, self.cfg.action_dim + 1))
+        return self.fnet.apply(store, h, u, _tcol(t, h.value.shape[0]))
 
     def readout(self, store, h):
         return self.readout_layer.apply(store, h)
@@ -154,8 +152,12 @@ class ContinuousModel:
         """Integrate interval k; the cde reads its dU/dt rows from `rates`."""
         t0, t1 = self._interval_times(seq, k)
         if self.cfg.backend == "cde":
+            weights = self.cde_net.weights(store)
+
             def rhs(state, t):
-                return ad.bmatvec(self.cde_matrix(store, state, t), next(rates))
+                rows, i = next(rates)
+                return ad.cde_field([state, _tcol(t, state.value.shape[0])],
+                                    weights, rows, i, self.cde_net.out_tanh)
             return integrate_span(rhs, h, t0, t1, substeps, method,
                                   interior=queries)
         u = seq.actions[k]
@@ -169,8 +171,8 @@ class ContinuousModel:
         """Stack actions with the time channel: (B, K, D_u + 1) node."""
         b = seq.actions[0].value.shape[0]
         k = len(seq.actions)
-        rows = [ad.reshape(a, (b, 1, self.cfg.action_dim)) for a in seq.actions]
-        act = ad.concat(rows, axis=1)
+        act = ad.reshape(ad.concat(seq.actions, axis=1),
+                         (b, k, self.cfg.action_dim))
         times = np.atleast_2d(seq.anchor_times)[:, :, None]
         tch = np.broadcast_to(times, (b, k, 1)).copy()
         return ad.concat([act, ad.constant(tch)], axis=2)
@@ -181,8 +183,8 @@ class ContinuousModel:
         Covers the window's first `intervals` intervals.  The window spline
         gives one weight matrix over all those stage times (one CubicPath,
         or one per series on a ragged clock) and one tape matmul against
-        the knots; the iterator yields its (B, D_u + 1) rows.  None for the
-        ode_rnn.
+        the knots, a (B, S, D_u + 1) node; the iterator yields that node
+        with each stage index in turn.  None for the ode_rnn.
         """
         if self.cfg.backend != "cde":
             return None
@@ -198,5 +200,4 @@ class ContinuousModel:
             CubicPath(row, np.zeros((row.size, 1))).derivative_weights(ts)
             for row, ts in zip(times, stage_mat)])
         du_rows = ad.matmul(ad.constant(weights), self._cde_knots(seq))
-        b, n, c = du_rows.value.shape
-        return (ad.reshape(ad.narrow(du_rows, 1, i, 1), (b, c)) for i in range(n))
+        return ((du_rows, i) for i in range(du_rows.value.shape[1]))

@@ -125,11 +125,31 @@ def op_checks(seed=0):
                          ["a", "b"], [a23, b23])
     checks += _per_input("linear", ad.linear, ["x", "w", "b"],
                          [a23, w34, rng.normal(size=4)])
-    checks += _per_input("mlp", lambda x, *wb: ad.mlp(x, _pairs(wb)),
+    checks += _per_input("mlp", lambda x, *wb: ad.mlp([x], _pairs(wb)),
                          ["x", "w0", "b0", "w1", "b1"], [a23] + dense)
     checks += _per_input("mlp_out_tanh",
-                         lambda x, *wb: ad.mlp(x, _pairs(wb), out_tanh=True),
+                         lambda x, *wb: ad.mlp([x], _pairs(wb), out_tanh=True),
                          ["x", "w0", "b0", "w1", "b1"], [a23] + dense)
+    # two node blocks and a data column make up the (2, 3) input
+    col = rng.normal(size=(2, 1))
+    checks += _per_input("mlp_blocks",
+                         lambda x0, x1, *wb: ad.mlp([x0, x1, col], _pairs(wb)),
+                         ["x0", "x1", "w0", "b0", "w1", "b1"],
+                         [a23[:, :1], a23[:, 1:2]] + dense)
+    # a (2, 2) state and a data column; the field reads its (2, 6) output
+    # as 2 x 3 matrices against row 1 of three (2, 3) rows
+    checks += _per_input("cde_field",
+                         lambda h, w0, b0, w1, b1, rows: ad.cde_field(
+                             [h, col], [(w0, b0), (w1, b1)], rows, 1,
+                             out_tanh=True),
+                         ["h", "w0", "b0", "w1", "b1", "rows"],
+                         [a23[:, :2], dense[0], dense[1],
+                          rng.normal(size=(4, 6)), rng.normal(size=6),
+                          rng.normal(size=(2, 3, 3))])
+    checks += _per_input("mse", lambda x: ad.mse(x, b23), ["pred"], [a23])
+    checks += _per_input("mse_weighted",
+                         lambda x: ad.mse(x, b23, np.array([0.25, 1.0])),
+                         ["pred"], [a23])
     checks += _per_input("gru_step", ad.gru_step,
                          ["prev", "x", "wx", "wh", "b"],
                          [rng.normal(size=(2, 4)), a23,

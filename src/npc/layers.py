@@ -1,10 +1,12 @@
 """Small neural building blocks on the tape: GRU cell, MLP, linear layer.
 
 Each layer owns a name prefix inside a ParamStore and operates on (B, d)
-batches.  Each forward call is one fused tape node (autodiff.gru_step,
-autodiff.mlp, autodiff.linear), so a layer costs one node whatever its
-depth.  Weight layout for the GRU is fused: wx (in, 3H) and wh (H, 3H)
-hold the reset, update, and candidate blocks side by side.
+batches; its parameter names are built once, at construction.  Each
+forward call is one fused tape node (autodiff.gru_step, autodiff.mlp,
+autodiff.linear), so a layer costs one node whatever its depth.  An MLP
+takes its input as column blocks, which the node joins itself.  Weight
+layout for the GRU is fused: wx (in, 3H) and wh (H, 3H) hold the reset,
+update, and candidate blocks side by side.
 """
 
 import numpy as np
@@ -25,18 +27,20 @@ class GRUCell:
         self.prefix = prefix
         self.in_dim = in_dim
         self.hidden = hidden
+        self.names = (f"{prefix}.wx", f"{prefix}.wh", f"{prefix}.b")
 
     def init(self, store, tag, rng):
         h = self.hidden
-        store.create(f"{self.prefix}.wx", uniform_init(rng, (self.in_dim, 3 * h), self.in_dim), tag)
-        store.create(f"{self.prefix}.wh", uniform_init(rng, (h, 3 * h), h), tag)
-        store.create(f"{self.prefix}.b", np.zeros(3 * h), tag)
+        wx, wh, b = self.names
+        store.create(wx, uniform_init(rng, (self.in_dim, 3 * h), self.in_dim), tag)
+        store.create(wh, uniform_init(rng, (h, 3 * h), h), tag)
+        store.create(b, np.zeros(3 * h), tag)
 
     def step(self, store, prev, x):
         """prev (B,H), x (B,in) -> (B,H), one fused tape node."""
-        p = self.prefix
-        return ad.gru_step(prev, x, store.node(f"{p}.wx"),
-                           store.node(f"{p}.wh"), store.node(f"{p}.b"))
+        wx, wh, b = self.names
+        return ad.gru_step(prev, x, store.node(wx), store.node(wh),
+                           store.node(b))
 
 
 class Linear:
@@ -44,15 +48,21 @@ class Linear:
         self.prefix = prefix
         self.in_dim = in_dim
         self.out_dim = out_dim
+        self.names = (f"{prefix}.w", f"{prefix}.b")
 
     def init(self, store, tag, rng):
-        store.create(f"{self.prefix}.w", uniform_init(rng, (self.in_dim, self.out_dim), self.in_dim), tag)
-        store.create(f"{self.prefix}.b", np.zeros(self.out_dim), tag)
+        w, b = self.names
+        store.create(w, uniform_init(rng, (self.in_dim, self.out_dim), self.in_dim), tag)
+        store.create(b, np.zeros(self.out_dim), tag)
+
+    def weights(self, store):
+        """The (w, b) leaf nodes."""
+        w, b = self.names
+        return store.node(w), store.node(b)
 
     def apply(self, store, x):
         """x (B, in) -> (B, out), one fused tape node."""
-        return ad.linear(x, store.node(f"{self.prefix}.w"),
-                         store.node(f"{self.prefix}.b"))
+        return ad.linear(x, *self.weights(store))
 
 
 class MLP:
@@ -72,8 +82,11 @@ class MLP:
         for layer in self.layers:
             layer.init(store, tag, rng)
 
-    def apply(self, store, x):
-        """x (B, dims[0]) -> (B, dims[-1]), one fused tape node."""
-        weights = [(store.node(f"{layer.prefix}.w"), store.node(f"{layer.prefix}.b"))
-                   for layer in self.layers]
-        return ad.mlp(x, weights, self.out_tanh)
+    def weights(self, store):
+        """The (w, b) leaf nodes of every layer, first layer first."""
+        return [layer.weights(store) for layer in self.layers]
+
+    def apply(self, store, *blocks):
+        """Column blocks (B, k_i) whose widths sum to dims[0] ->
+        (B, dims[-1]), one fused tape node."""
+        return ad.mlp(blocks, self.weights(store), self.out_tanh)

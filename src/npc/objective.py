@@ -8,25 +8,13 @@ so it trains psi alone: phi never appears in its graph, making
 d(regularizer)/d(phi) exactly zero by construction.
 
 total = task cost + lambda * regularizer.  All costs are scalar nodes,
-averaged over the batch and summed over horizon terms.
+averaged over the batch and summed over horizon terms; each squared-error
+term is one autodiff.mse node.
 """
 
 import numpy as np
 
 from . import autodiff as ad
-
-
-def _mse(pred, target, sample_weight=None):
-    """Mean over channels, weighted mean over the batch; scalar node."""
-    diff = ad.sub(pred, ad.constant(target))
-    per = ad.mean_(ad.square(diff), axis=1)  # (B,)
-    if sample_weight is None:
-        return ad.mean_(per)
-    w = np.asarray(sample_weight, dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("no available targets in this term")
-    return ad.sum_(ad.mul_const(per, w / total))
 
 
 def classification_cost(model, store, traj, labels):
@@ -53,7 +41,7 @@ def regression_cost(model, store, states, targets, weights=None):
         w = None if weights is None else weights[k]
         if w is not None and np.sum(w) <= 0:
             continue
-        term = _mse(model.readout(store, h), x, w)
+        term = ad.mse(model.readout(store, h), x, w)
         total = term if total is None else ad.add(total, term)
     if total is None:
         raise ValueError("regression cost has no available targets")
@@ -77,7 +65,7 @@ def action_regularizer(controller, store, seq, target, task):
             x = target[k]
             if x is None:
                 continue
-            term = _mse(out, x)
+            term = ad.mse(out, x)
         total = term if total is None else ad.add(total, term)
     if total is None:
         total = ad.constant(0.0)

@@ -17,6 +17,7 @@ action, the loss looks one interval ahead, and there is no planning head.
 
 import json
 import logging
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -83,7 +84,13 @@ class TrainReport:
 
 
 class ModelBundle:
-    """Controller + continuous model + parameters + data normalizer."""
+    """Controller + continuous model + parameters + data normalizer.
+
+    A checkpoint is one JSON file: the format version, the meta that
+    rebuilds the model, the parameter records and the normalizer.
+    """
+
+    FORMAT = 1
 
     def __init__(self, store, controller, model, meta, normalizer=None):
         self.store = store
@@ -119,11 +126,13 @@ class ModelBundle:
         }
         bundle = cls(ParamStore(), None, None, meta, normalizer)
         bundle._construct()
-        rng = np.random.default_rng(seed)
-        bundle.controller.init(bundle.store, rng,
-                               with_head=(algorithm == "npc"))
-        bundle.model.init(bundle.store, rng)
+        bundle._init_params(bundle.store, np.random.default_rng(seed))
         return bundle
+
+    def _init_params(self, store, rng):
+        self.controller.init(store, rng,
+                             with_head=(self.meta["algorithm"] == "npc"))
+        self.model.init(store, rng)
 
     def _construct(self):
         meta = self.meta
@@ -143,30 +152,100 @@ class ModelBundle:
         self.meta["head_width"] = ccfg.head_width
 
     def save(self, path):
-        payload = {"meta": self.meta, "params": self.store.to_records()}
+        """Write the checkpoint atomically: a temporary file in the same
+        directory, then a rename over `path`."""
+        payload = {"format": self.FORMAT, "meta": self.meta,
+                   "params": self.store.to_records()}
         if self.normalizer is not None:
             payload["normalizer"] = {
                 "mean": self.normalizer.mean.tolist(),
                 "std": self.normalizer.std.tolist(),
             }
-        with open(path, "w") as f:
-            json.dump(payload, f)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as f:
+                json.dump(payload, f)
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            payload = json.load(f)
+        """Read a checkpoint written by save.  Raises ValueError, naming
+        the file, for an unknown format version, missing meta keys, or
+        parameters that do not match the model the meta builds."""
+        try:
+            with open(path) as f:
+                payload = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}: not a checkpoint ({e})") from None
+        version = payload.get("format") if isinstance(payload, dict) else None
+        if version != cls.FORMAT:
+            raise ValueError(f"{path}: checkpoint format {version!r} is not "
+                             f"supported (expected {cls.FORMAT})")
+        missing = sorted(set(_META_KEYS) - set(payload.get("meta", {})))
+        if "params" not in payload:
+            missing.append("params")
+        if missing:
+            raise ValueError(f"{path}: checkpoint is missing {missing}")
         norm = None
         if "normalizer" in payload:
             norm = Normalizer(payload["normalizer"]["mean"],
                               payload["normalizer"]["std"])
-        bundle = cls(ParamStore.from_records(payload["params"]), None, None,
-                     payload["meta"], norm)
-        bundle._construct()
+            want = (payload["meta"]["obs_dim"],)
+            if norm.mean.shape != want or norm.std.shape != want:
+                raise ValueError(
+                    f"{path}: normalizer mean {norm.mean.shape} and std "
+                    f"{norm.std.shape} must match obs_dim {want}")
+        bundle = cls(ParamStore(), None, None, payload["meta"], norm)
+        try:
+            bundle._construct()
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
+        expected = ParamStore()
+        bundle._init_params(expected, np.random.default_rng(0))
+        bundle.store = _checked_params(path, payload["params"], expected)
         return bundle
 
     def normalize(self, series):
         return self.normalizer.apply(series) if self.normalizer else series
+
+
+_META_KEYS = (
+    "task", "algorithm", "backend", "obs_dim", "n_classes", "m", "window",
+    "ctrl_hidden", "model_hidden", "action_dim", "head_width", "fdepth",
+    "jumps", "cde_tanh", "substeps", "method", "lam", "seed",
+)
+
+
+def _checked_params(path, records, expected):
+    """ParamStore from checkpoint records that must name exactly the
+    parameters of `expected`, in its order, with its tags and shapes."""
+    names, want = [rec.get("name") for rec in records], expected.names()
+    if names != want:
+        lost = [n for n in want if n not in names]
+        extra = [n for n in names if n not in want]
+        raise ValueError(f"{path}: parameters do not match the model "
+                         f"(missing {lost}, unexpected {extra}, or out of "
+                         "order)")
+    store = ParamStore()
+    for rec in records:
+        name = rec["name"]
+        shape = tuple(expected.value(name).shape)
+        values = np.asarray(rec.get("values", []), dtype=np.float64)
+        if tuple(rec.get("shape", ())) != shape or values.size != np.prod(shape):
+            raise ValueError(
+                f"{path}: parameter {name!r} has shape {rec.get('shape')} "
+                f"and {values.size} values; the model needs {list(shape)}")
+        if rec.get("tag") != expected.tag(name):
+            raise ValueError(f"{path}: parameter {name!r} has tag "
+                             f"{rec.get('tag')!r}, expected "
+                             f"{expected.tag(name)!r}")
+        store.create(name, values.reshape(shape), rec["tag"])
+    return store
 
 
 # ---------------------------------------------------------------------------

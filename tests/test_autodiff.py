@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import npc.autodiff as ad
 
@@ -163,8 +164,40 @@ def _primitive_mlp(out_tanh):
 
 def _fused_mlp(out_tanh):
     def run(x, *wb):
-        return ad.mlp(x, list(zip(wb[::2], wb[1::2])), out_tanh)
+        return ad.mlp([x], list(zip(wb[::2], wb[1::2])), out_tanh)
     return run
+
+
+def _fused_mlp_blocks(x0, x1, *wb):
+    return ad.mlp([x0, x1, _DATA_COL], list(zip(wb[::2], wb[1::2])))
+
+
+def _primitive_mlp_blocks(x0, x1, *wb):
+    joined = ad.concat([x0, x1, ad.constant(_DATA_COL)], axis=1)
+    return _primitive_mlp(False)(joined, *wb)
+
+
+def _fused_cde_field(h, *wb_rows):
+    *wb, rows = wb_rows
+    return ad.cde_field([h, _DATA_COL], list(zip(wb[::2], wb[1::2])), rows,
+                        2, out_tanh=True)
+
+
+def _primitive_cde_field(h, *wb_rows):
+    *wb, rows = wb_rows
+    b, _, c = rows.value.shape
+    joined = ad.concat([h, ad.constant(_DATA_COL)], axis=1)
+    flat = _primitive_mlp(True)(joined, *wb)
+    mat = ad.reshape(flat, (b, flat.value.shape[1] // c, c))
+    return ad.bmatvec(mat, ad.reshape(ad.narrow(rows, 1, 2, 1), (b, c)))
+
+
+def _primitive_mse(pred, target, weights=None):
+    """The squared-error term as objective built it from primitive ops."""
+    per = ad.mean_(ad.square(ad.sub(pred, ad.constant(target))), axis=1)
+    if weights is None:
+        return ad.mean_(per)
+    return ad.sum_(ad.mul_const(per, weights / weights.sum()))
 
 
 def _primitive_gru_step(prev, x, wx, wh, b):
@@ -183,6 +216,9 @@ _RNG = np.random.default_rng(11)
 _DENSE = [_RNG.normal(size=s) for s in [(4, 3), (3, 5), (5,), (5, 2), (2,)]]
 
 _COLUMN = _RNG.uniform(0.1, 1.0, size=(4, 1))
+_DATA_COL = _RNG.normal(size=(4, 1))
+_TARGET = _RNG.normal(size=(4, 3))
+_WEIGHTS = np.array([0.0, 1.0, 0.5, 2.0])
 
 FUSED_CASES = {
     "add_scaled": (lambda a, b: ad.add_scaled(a, b, 0.3),
@@ -197,6 +233,17 @@ FUSED_CASES = {
     "gru_step": (ad.gru_step, _primitive_gru_step,
                  [_RNG.normal(size=s) for s in
                   [(4, 3), (4, 2), (2, 9), (3, 9), (9,)]]),
+    "mlp_blocks": (_fused_mlp_blocks, _primitive_mlp_blocks,
+                   [_RNG.normal(size=(4, 1)), _RNG.normal(size=(4, 1))]
+                   + _DENSE[1:]),
+    "cde_field": (_fused_cde_field, _primitive_cde_field,
+                  [_RNG.normal(size=s) for s in
+                   [(4, 2), (3, 5), (5,), (5, 6), (6,), (4, 3, 3)]]),
+    "mse": (lambda x: ad.mse(x, _TARGET),
+            lambda x: _primitive_mse(x, _TARGET), [_RNG.normal(size=(4, 3))]),
+    "mse_weighted": (lambda x: ad.mse(x, _TARGET, _WEIGHTS),
+                     lambda x: _primitive_mse(x, _TARGET, _WEIGHTS),
+                     [_RNG.normal(size=(4, 3))]),
 }
 
 
@@ -240,9 +287,31 @@ def test_fused_ops_skip_constant_input_adjoint():
     (lambda: ad.linear(ad.constant(np.ones((4, 3))),
                        ad.constant(np.ones((2, 2))),
                        ad.constant(np.zeros(2))), "(4, 3) @ (2, 2)"),
-    (lambda: ad.mlp(ad.constant(np.ones((4, 3))),
+    (lambda: ad.mlp([ad.constant(np.ones((4, 3)))],
                     [(ad.constant(np.ones((3, 2))), ad.constant(np.zeros(3)))]),
      "(3, 2) + (3,)"),
+    (lambda: ad.mlp([ad.constant(np.ones((4, 3))), np.ones((2, 1))],
+                    [(ad.constant(np.ones((4, 2))), ad.constant(np.zeros(2)))]),
+     "mlp: input blocks [(4, 3), (2, 1)] must be (B, k_i) with one B"),
+    (lambda: ad.mlp([], [(ad.constant(np.ones((4, 2))),
+                          ad.constant(np.zeros(2)))]),
+     "mlp: input blocks []"),
+    (lambda: ad.cde_field([np.ones((4, 3))],
+                          [(ad.constant(np.ones((3, 5))),
+                            ad.constant(np.zeros(5)))],
+                          ad.constant(np.ones((4, 2, 3))), 0),
+     "cde_field: field output (4, 5) and row 0 of (4, 2, 3) do not align"),
+    (lambda: ad.cde_field([np.ones((4, 3))],
+                          [(ad.constant(np.ones((3, 6))),
+                            ad.constant(np.zeros(6)))],
+                          ad.constant(np.ones((4, 2, 3))), 2),
+     "row 2 of (4, 2, 3)"),
+    (lambda: ad.mse(ad.constant(np.ones((4, 3))), np.ones((4, 1))),
+     "mse: prediction (4, 3) and target (4, 1)"),
+    (lambda: ad.mse(ad.constant(np.ones((4, 3))), np.ones((4, 3)),
+                    np.ones(3)), "mse: weights (3,) do not match batch (4,)"),
+    (lambda: ad.mse(ad.constant(np.ones((4, 3))), np.ones((4, 3)),
+                    np.zeros(4)), "no available targets"),
     (lambda: ad.gru_step(ad.constant(np.ones((4, 3))),
                          ad.constant(np.ones((4, 2))),
                          ad.constant(np.ones((2, 6))),
@@ -263,3 +332,77 @@ def test_elementwise_shape_error_messages(sa, sb, needle):
     with pytest.raises(ValueError) as err:
         ad.add(ad.constant(np.ones(sa)), ad.constant(np.ones(sb)))
     assert needle in str(err.value)
+
+
+def test_mlp_blocks_route_adjoint_to_node_blocks_only():
+    x0, x1 = ad.constant(_DENSE[0][:, :1]), ad.leaf(_DENSE[0][:, 1:2])
+    wb = [ad.leaf(v) for v in _DENSE[1:]]
+    out = ad.mlp([x0, x1, _DATA_COL], [(wb[0], wb[1]), (wb[2], wb[3])])
+    assert out.parents == (x0, x1, *wb)
+    ad.backward(ad.sum_(ad.square(out)))
+    assert x0.grad is None
+    joined = ad.leaf(np.hstack([_DENSE[0][:, :2], _DATA_COL]))
+    ad.backward(ad.sum_(ad.square(_primitive_mlp(False)(
+        joined, *[ad.constant(v) for v in _DENSE[1:]]))))
+    np.testing.assert_allclose(x1.grad, joined.grad[:, 1:2], rtol=1e-12)
+
+
+def test_cde_field_skips_constant_rows_adjoint():
+    values = FUSED_CASES["cde_field"][2]
+    nodes = [ad.leaf(v) for v in values[:-1]] + [ad.constant(values[-1])]
+    ad.backward(ad.sum_(ad.square(_fused_cde_field(*nodes))))
+    assert nodes[-1].grad is None
+    assert all(n.grad is not None for n in nodes[:-1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=st.integers(1, 4),
+       widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       depth=st.integers(1, 3), out_tanh=st.booleans(),
+       data_block=st.booleans(), field=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_fused_dense_ops_match_primitive_graph(batch, widths, depth, out_tanh,
+                                               data_block, field, seed):
+    """mlp and cde_field against concat + matmul/tanh stack (+ reshape,
+    narrow and bmatvec): value and every input's gradient within 1e-12."""
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=(batch, w)) for w in widths]
+    col = rng.normal(size=(batch, 1)) if data_block else None
+    n, c, s = 2, 3, 4
+    dims = [sum(widths) + data_block] + [3] * (depth - 1)
+    dims.append(n * c if field else 2)
+    values = blocks + [rng.normal(size=shape) for i in range(depth)
+                       for shape in ((dims[i], dims[i + 1]), (dims[i + 1],))]
+    if field:
+        values.append(rng.normal(size=(batch, s, c)))
+    stage = seed % s
+    k = len(blocks)
+
+    def fused(*nodes):
+        wb = nodes[k:k + 2 * depth]
+        layers = list(zip(wb[::2], wb[1::2]))
+        inputs = list(nodes[:k]) + ([col] if data_block else [])
+        if field:
+            return ad.cde_field(inputs, layers, nodes[-1], stage, out_tanh)
+        return ad.mlp(inputs, layers, out_tanh)
+
+    def primitive(*nodes):
+        inputs = list(nodes[:k]) + ([ad.constant(col)] if data_block else [])
+        joined = ad.concat(inputs, axis=1)
+        flat = _primitive_mlp(out_tanh)(joined, *nodes[k:k + 2 * depth])
+        if not field:
+            return flat
+        row = ad.reshape(ad.narrow(nodes[-1], 1, stage, 1), (batch, c))
+        return ad.bmatvec(ad.reshape(flat, (batch, n, c)), row)
+
+    results = []
+    for op in (fused, primitive):
+        nodes = [ad.leaf(v) for v in values]
+        out = op(*nodes)
+        ad.backward(ad.sum_(ad.square(out)))
+        results.append((out.value, [nd.grad for nd in nodes]))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for g, w in zip(got_grads, want_grads):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)

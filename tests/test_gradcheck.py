@@ -84,3 +84,12 @@ def test_corrupted_fused_rule_is_caught():
     with pytest.raises(gradcheck.GradCheckError) as err:
         gradcheck.run_ops(seed=0, corrupt_op="gru_step")
     assert "gru_step" in str(err.value)
+
+
+@pytest.mark.parametrize("entry", ["mlp_blocks", "mlp_blocks_x1",
+                                   "cde_field", "cde_field_rows", "mse",
+                                   "mse_weighted"])
+def test_new_fused_entries_catch_corruption(entry):
+    with pytest.raises(gradcheck.GradCheckError) as err:
+        gradcheck.run_ops(seed=0, corrupt_op=entry)
+    assert f"for {entry}:" in str(err.value)

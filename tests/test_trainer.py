@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 import npc.autodiff as ad
 from npc.controller import ActionSequence, Controller, ControllerState
 from npc.datagen import Normalizer, TimeSeries, drop_observations, gen_sine_regression
-from npc.trainer import (ModelBundle, TrainConfig, TrainingDiverged, _Batch,
-                         _group_series, _WindowRunner, classify,
+from npc.trainer import (_META_KEYS, ModelBundle, TrainConfig,
+                         TrainingDiverged, _Batch, _group_series,
+                         _WindowRunner, classify,
                          evaluate_classification, evaluate_interpolation,
                          extrapolate, interpolate, sensitivity_sweep, train)
 
@@ -166,6 +169,78 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(p1[1], p2[1])
 
 
+def test_checkpoint_carries_format_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    _tiny_bundle().save(path)
+    payload = json.loads(path.read_text())
+    assert payload["format"] == ModelBundle.FORMAT
+    assert set(payload["meta"]) == set(_META_KEYS)
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "ckpt.json"
+    _tiny_bundle(seed=0).save(path)
+    before = path.read_bytes()
+
+    def broken_dump(obj, f):
+        f.write('{"format": 1, "meta"')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", broken_dump)
+    with pytest.raises(OSError):
+        _tiny_bundle(seed=1).save(path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+
+
+def _drop_param(payload):
+    del payload["params"][3]
+
+
+def _truncate_values(payload):
+    payload["params"][0]["values"] = payload["params"][0]["values"][:-1]
+
+
+def _widen_model(payload):
+    payload["meta"]["model_hidden"] += 1
+
+
+@pytest.mark.parametrize("corrupt,needle", [
+    (lambda p: p.update(format=2), "checkpoint format 2 is not supported"),
+    (lambda p: p.pop("format"), "checkpoint format None is not supported"),
+    (lambda p: p["meta"].pop("substeps"), "missing ['substeps']"),
+    (lambda p: p.pop("params"), "missing ['params']"),
+    (_drop_param, "parameters do not match the model (missing ['ctrl.head.l0.w']"),
+    (_truncate_values, "parameter 'ctrl.gru.wx' has shape [2, 12] and 23 values"),
+    (_widen_model, "parameter 'enc.w' has shape [1, 4] and 4 values; the "
+                   "model needs [1, 5]"),
+    (lambda p: p["meta"].update(backend="lstm"), "backend must be one of"),
+    (lambda p: p["normalizer"].update(mean=[0.0, 1.0]),
+     "normalizer mean (2,) and std (1,) must match obs_dim (1,)"),
+], ids=["version", "no_version", "meta_key", "no_params", "dropped_param",
+        "truncated_values", "shape_mismatch", "bad_meta_value",
+        "normalizer_width"])
+def test_load_rejects_bad_checkpoint(tmp_path, corrupt, needle):
+    path = tmp_path / "ckpt.json"
+    _tiny_bundle(normalizer=Normalizer(np.zeros(1), np.ones(1))).save(path)
+    payload = json.loads(path.read_text())
+    corrupt(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert needle in str(err.value)
+
+
+def test_load_rejects_non_json_naming_file(tmp_path):
+    path = tmp_path / "ckpt.json"
+    path.write_text('{"format": 1, "meta": {')
+    with pytest.raises(ValueError, match="not a checkpoint") as err:
+        ModelBundle.load(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_classify_single_series_and_accuracy():
     series = _class_series()
     norm = Normalizer.fit(series)
@@ -258,12 +333,13 @@ def test_single_horizon_classify_steps_controller_once_per_observation(
     np.testing.assert_array_equal(probs, p.max(axis=1))
 
 
-def test_window_tape_stays_within_node_budget():
-    # the criterion-2 sine model at B = 1; a window's tape depends on m,
-    # window and substeps, not on which points the clock keeps
+def _full_window_nodes(backend):
+    """Differentiable nodes reachable from one full criterion-2 window
+    (anchor 4, m = 5, B = 1); a window's tape depends on m, window and
+    substeps, not on which points the clock keeps."""
     series = gen_sine_regression(1, 64, seed=0, cycles=1.5, noise=0.02)
     bundle = ModelBundle.build(
-        task="regression", obs_dim=1, backend="ode_rnn", m=5, window=4,
+        task="regression", obs_dim=1, backend=backend, m=5, window=4,
         lam=0.1, action_dim=8, ctrl_hidden=16, model_hidden=16, substeps=2,
         seed=0)
     runner = _WindowRunner(bundle, _Batch(series))
@@ -278,7 +354,15 @@ def test_window_tape_stays_within_node_budget():
             if p.requires and p.id not in seen:
                 seen.add(p.id)
                 stack.append(p)
-    assert len(seen) <= 300
+    return len(seen)
+
+
+def test_window_tape_stays_within_node_budget():
+    assert _full_window_nodes("ode_rnn") <= 200
+
+
+def test_cde_window_tape_stays_within_node_budget():
+    assert _full_window_nodes("cde") <= 200
 
 
 def test_classify_wrong_task_rejected():
