@@ -13,13 +13,14 @@ promoted); anything richer must be spelled out by the caller.
 
 The arrays are small (a batch of a few series by a few dozen units), so a
 graph's cost is the Python work per node more than the arithmetic.  The
-fused ops add_scaled (a + b * c, the solver's update), linear, mlp (a
-whole dense stack over column blocks it joins itself), cde_field (a dense
-stack read as matrices times one row of a vector node, the cde's vector
-field), gru_step (one GRU cell) and mse (one squared-error term) each
-build a single node whose hand-written adjoint repeats the arithmetic of
-the primitive-op graph they replace.  Each op, fused or primitive, has a
-finite-difference check in gradcheck.op_checks.
+fused ops add_scaled (a + b * c, the generic solver's update), linear,
+mlp (a whole dense stack over column blocks it joins itself), gru_step
+(one GRU cell) and mse (one squared-error term) each build a single node
+whose hand-written adjoint repeats the arithmetic of the primitive-op
+graph they replace.  The dense-stack helpers _dense and _dense_back are
+shared with odesolve's fused interval op, which integrates a whole
+interval of a dense vector field as one node.  Each op, fused or
+primitive, has a finite-difference check in gradcheck.op_checks.
 
 State is confined to the calling thread: the grad-enabled flag is
 thread-local and node ids come from a single monotone counter, so distinct
@@ -38,7 +39,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "add_const", "mul_const", "matmul",
     "bmatvec", "tanh", "relu", "sigmoid", "log", "square", "concat",
     "narrow", "reshape", "sum_", "mean_", "softmax_cross_entropy",
-    "add_scaled", "linear", "mlp", "cde_field", "gru_step", "mse",
+    "add_scaled", "linear", "mlp", "gru_step", "mse",
 ]
 
 _ids = itertools.count()
@@ -491,11 +492,11 @@ def softmax_cross_entropy(logits, labels):
 # fused layers: one node each, with hand-written adjoints that repeat the
 # arithmetic of the equivalent primitive-op graph
 
-def _check_dense(op, vx, vw, vb):
-    if (vx.ndim != 2 or vw.ndim != 2 or vx.shape[1] != vw.shape[0]
-            or vb.shape != vw.shape[1:]):
+def _check_dense(op, sx, sw, sb):
+    """Check the shapes of x @ w + b: (B, k) @ (k, n) + (n,)."""
+    if len(sx) != 2 or len(sw) != 2 or sx[1] != sw[0] or sb != sw[1:]:
         raise ValueError(
-            f"{op}: shapes {vx.shape} @ {vw.shape} + {vb.shape} do not align; "
+            f"{op}: shapes {sx} @ {sw} + {sb} do not align; "
             "need (B, k) @ (k, n) + (n,)"
         )
 
@@ -503,7 +504,7 @@ def _check_dense(op, vx, vw, vb):
 def linear(x, w, b):
     """x (B, k) @ w (k, n) + b (n,) -> (B, n)."""
     vx, vw = x.value, w.value
-    _check_dense("linear", vx, vw, b.value)
+    _check_dense("linear", vx.shape, vw.shape, b.value.shape)
 
     def back(g):
         gx = g @ vw.T if x.requires else None
@@ -534,33 +535,49 @@ def _join(op, blocks):
     return x, tuple(nodes), spans
 
 
-def _dense(op, x, layers, out_tanh):
-    """Activations of a dense stack: the input of each layer, then the
-    output.  tanh follows every layer but the last, the last too when
-    out_tanh."""
+def _check_stack(op, shape, layers):
+    """Check that a (B, k) input of `shape` feeds the dense stack `layers`;
+    returns the shape of its output."""
+    for w, b in layers:
+        _check_dense(op, shape, w.value.shape, b.value.shape)
+        shape = (shape[0], w.value.shape[1])
+    return shape
+
+
+def _dense(x, layers, out_tanh):
+    """Activations of a dense stack that _check_stack has passed: the input
+    of each layer, then the output.  tanh follows every layer but the last,
+    the last too when out_tanh."""
     last = len(layers) - 1
     acts = [x]
     for i, (w, b) in enumerate(layers):
-        _check_dense(op, acts[-1], w.value, b.value)
         h = acts[-1] @ w.value + b.value
         acts.append(np.tanh(h) if i < last or out_tanh else h)
     return acts
 
 
-def _dense_back(g, acts, layers, out_tanh, nodes, spans):
-    """Adjoints of a dense stack's node blocks, then of w0, b0, w1, b1, ...
-    given the adjoint g of its output."""
+def _dense_back(g, acts, layers, out_tanh, need_x):
+    """Given the adjoint g of a dense stack's output: the adjoint of its
+    joined input (None unless need_x) and the adjoint of each layer's
+    pre-activation, first layer first."""
     last = len(layers) - 1
-    need_x = any(n.requires for n in nodes)
-    grads = []
+    deltas = [None] * len(layers)
     for i in range(last, -1, -1):
         if i < last or out_tanh:
             t = acts[i + 1]
             g = g * (1.0 - t * t)
-        grads += [g.sum(axis=0), acts[i].T @ g]
+        deltas[i] = g
         g = g @ layers[i][0].value.T if i or need_x else None
-    blocks = [None if g is None else g[:, a:b] for a, b in spans]
-    return blocks + grads[::-1]
+    return g, deltas
+
+
+def _weight_grads(inputs, deltas):
+    """Adjoints of w0, b0, w1, b1, ... from each layer's input and
+    pre-activation adjoint; the rows may stack many evaluations."""
+    grads = []
+    for x, d in zip(inputs, deltas):
+        grads += [x.T @ d, d.sum(axis=0)]
+    return grads
 
 
 def _weights(layers):
@@ -578,46 +595,16 @@ def mlp(blocks, layers, out_tanh=False):
     are the node blocks, then w0, b0, w1, b1, ...
     """
     x, nodes, spans = _join("mlp", blocks)
-    acts = _dense("mlp", x, layers, out_tanh)
+    _check_stack("mlp", x.shape, layers)
+    acts = _dense(x, layers, out_tanh)
 
     def back(g):
-        return _dense_back(g, acts, layers, out_tanh, nodes, spans)
+        gx, deltas = _dense_back(g, acts, layers, out_tanh,
+                                 any(n.requires for n in nodes))
+        return ([None if gx is None else gx[:, a:b] for a, b in spans]
+                + _weight_grads(acts, deltas))
 
     return _make(acts[-1], nodes + _weights(layers), back)
-
-
-def cde_field(blocks, layers, rows, i, out_tanh=False):
-    """One evaluation F(x) @ rows[:, i] of a matrix-valued field.
-
-    F is the dense stack of mlp over `blocks`, its (B, n * c) output read
-    as (B, n, c) matrices; rows is a (B, S, c) node of which row i is the
-    vector each matrix multiplies.  -> (B, n).  The node's parents are the
-    node blocks, w0, b0, w1, b1, ..., then rows, whose adjoint is zero
-    outside row i.
-    """
-    x, nodes, spans = _join("cde_field", blocks)
-    acts = _dense("cde_field", x, layers, out_tanh)
-    flat, vr = acts[-1], rows.value
-    if (vr.ndim != 3 or vr.shape[0] != flat.shape[0]
-            or flat.shape[1] % vr.shape[2] or not 0 <= i < vr.shape[1]):
-        raise ValueError(
-            f"cde_field: field output {flat.shape} and row {i} of "
-            f"{vr.shape} do not align"
-        )
-    mat = flat.reshape(flat.shape[0], -1, vr.shape[2])
-    row = vr[:, i]
-
-    def back(g):
-        d_flat = np.einsum("bn,bk->bnk", g, row).reshape(flat.shape)
-        grads = _dense_back(d_flat, acts, layers, out_tanh, nodes, spans)
-        d_rows = None
-        if rows.requires:
-            d_rows = np.zeros(vr.shape)
-            d_rows[:, i] = np.einsum("bnk,bn->bk", mat, g)
-        return grads + [d_rows]
-
-    value = np.einsum("bnk,bk->bn", mat, row)
-    return _make(value, nodes + _weights(layers) + (rows,), back)
 
 
 def mse(pred, target, weights=None):
@@ -666,8 +653,8 @@ def gru_step(prev, x, wx, wh, b):
     cand = tanh(px_c + r * ph_c), next = u * prev + (1 - u) * cand.
     """
     vp, vx, vwh = prev.value, x.value, wh.value
-    _check_dense("gru_step", vx, wx.value, b.value)
-    _check_dense("gru_step", vp, vwh, b.value)
+    _check_dense("gru_step", vx.shape, wx.value.shape, b.value.shape)
+    _check_dense("gru_step", vp.shape, vwh.shape, b.value.shape)
     h = vp.shape[1]
     if wx.value.shape[1] != 3 * h or vx.shape[0] != vp.shape[0]:
         raise ValueError(

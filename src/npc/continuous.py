@@ -5,19 +5,20 @@ Two backends evolve a hidden state h across the action sequence's span:
 * ode_rnn: between anchors, dh/dt = f(h, u_k, t) with the interval's
   action held constant; at each interval end a GRU jump folds in the next
   action.  f is an MLP with tanh hidden layers over the column blocks
-  h, u and t, one fused tape node per evaluation.
+  h, u and t.
 * cde: the actions (with time appended as an extra channel) are knots of
   a natural cubic spline U(t); dh/dt = F(h, t) dU/dt where F maps the
-  state to an H x (D_u + 1) matrix, bounded by a final tanh.  Each
-  evaluation of F(h, t) dU/dt is one autodiff.cde_field node.
+  state to an H x (D_u + 1) matrix, bounded by a final tanh.
 
 Each backend has one integration path: one interval is one
-integrate_span call, evolve repeats it over the window and commit_step is
-the same call on the first interval.  The cde evaluates its spline
-derivative once per call, as one (B, S, D_u + 1) tape node of dU/dt rows
-at every stage time the solver will visit (odesolve.span_steps lists
-them); the field evaluations read their rows by stage index.  Gradients
-flow into the actions (through the spline for the cde) and into the phi
+integrate_span call over an odesolve.DenseField, a single tape node for
+every substep and stage of the interval (split only at interior query
+times); evolve repeats it over the window and commit_step is the same
+call on the first interval.  The cde evaluates its spline derivative once
+per call, as one (B, S, D_u + 1) tape node of dU/dt rows at every stage
+time the solver will visit (odesolve.span_steps lists them); each
+interval reads its stages' rows from its first row on.  Gradients flow
+into the actions (through the spline for the cde) and into the phi
 parameters.
 States are (B, H); interval times may be shared floats or per-series
 (B, 1) arrays.
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .layers import GRUCell, Linear, MLP
-from .odesolve import integrate_span, span_steps
+from .odesolve import DenseField, integrate_span, span_steps
 from .spline import CubicPath
 
 BACKENDS = ("ode_rnn", "cde")
@@ -72,13 +73,6 @@ class HiddenTrajectory:
         self.times = times
 
 
-def _tcol(t, batch):
-    """Time as a (B, 1) data column."""
-    if isinstance(t, np.ndarray):
-        return np.broadcast_to(t.reshape(-1, 1), (batch, 1))
-    return np.full((batch, 1), float(t))
-
-
 class ContinuousModel:
     def __init__(self, cfg):
         self.cfg = cfg
@@ -106,9 +100,6 @@ class ContinuousModel:
         """First observation (B, D) -> initial hidden state (B, H)."""
         x = x if isinstance(x, ad.Node) else ad.constant(x)
         return ad.tanh(self.encoder.apply(store, x))
-
-    def f(self, store, h, u, t):
-        return self.fnet.apply(store, h, u, _tcol(t, h.value.shape[0]))
 
     def readout(self, store, h):
         return self.readout_layer.apply(store, h)
@@ -152,17 +143,15 @@ class ContinuousModel:
         """Integrate interval k; the cde reads its dU/dt rows from `rates`."""
         t0, t1 = self._interval_times(seq, k)
         if self.cfg.backend == "cde":
-            weights = self.cde_net.weights(store)
-
-            def rhs(state, t):
-                rows, i = next(rates)
-                return ad.cde_field([state, _tcol(t, state.value.shape[0])],
-                                    weights, rows, i, self.cde_net.out_tanh)
-            return integrate_span(rhs, h, t0, t1, substeps, method,
+            rows, firsts = rates
+            field = DenseField(self.cde_net.weights(store),
+                               self.cde_net.out_tanh, rows=rows,
+                               first_row=firsts[k])
+            return integrate_span(field, h, t0, t1, substeps, method,
                                   interior=queries)
-        u = seq.actions[k]
-        out, h = integrate_span(lambda s, t: self.f(store, s, u, t),
-                                h, t0, t1, substeps, method, interior=queries)
+        field = DenseField(self.fnet.weights(store), u=seq.actions[k])
+        out, h = integrate_span(field, h, t0, t1, substeps, method,
+                                interior=queries)
         if self.cfg.jumps:
             h = self.jump_cell.step(store, h, seq.actions[k + 1])
         return out, h
@@ -183,15 +172,17 @@ class ContinuousModel:
         Covers the window's first `intervals` intervals.  The window spline
         gives one weight matrix over all those stage times (one CubicPath,
         or one per series on a ragged clock) and one tape matmul against
-        the knots, a (B, S, D_u + 1) node; the iterator yields that node
-        with each stage index in turn.  None for the ode_rnn.
+        the knots, a (B, S, D_u + 1) node.  Returns that node and the row
+        of each interval's first stage.  None for the ode_rnn.
         """
         if self.cfg.backend != "cde":
             return None
-        stages = [t for k in range(intervals)
-                  for _, ts, _ in span_steps(*self._interval_times(seq, k),
-                                             substeps, method, queries)
-                  for t in ts]
+        stages, firsts = [], []
+        for k in range(intervals):
+            firsts.append(len(stages))
+            stages += [t for _, ts, _ in span_steps(
+                *self._interval_times(seq, k), substeps, method, queries)
+                for t in ts]
         # one row of knot and stage times per clock (a single row when
         # shared); a + dt may round one ulp past the last knot
         times = np.atleast_2d(seq.anchor_times)
@@ -199,5 +190,4 @@ class ContinuousModel:
         weights = np.stack([
             CubicPath(row, np.zeros((row.size, 1))).derivative_weights(ts)
             for row, ts in zip(times, stage_mat)])
-        du_rows = ad.matmul(ad.constant(weights), self._cde_knots(seq))
-        return ((du_rows, i) for i in range(du_rows.value.shape[1]))
+        return ad.matmul(ad.constant(weights), self._cde_knots(seq)), firsts

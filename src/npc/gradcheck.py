@@ -15,6 +15,7 @@ rounding still fails.
 import numpy as np
 
 from . import autodiff as ad
+from .odesolve import DenseField, integrate_span
 
 STEP = 1e-5
 TOL = 1e-4
@@ -136,16 +137,25 @@ def op_checks(seed=0):
                          lambda x0, x1, *wb: ad.mlp([x0, x1, col], _pairs(wb)),
                          ["x0", "x1", "w0", "b0", "w1", "b1"],
                          [a23[:, :1], a23[:, 1:2]] + dense)
-    # a (2, 2) state and a data column; the field reads its (2, 6) output
-    # as 2 x 3 matrices against row 1 of three (2, 3) rows
+    # odesolve's DenseField integration, one node per span: a (2, 2) state
+    # under a width-3 stack over [h, u, t] (the ode_rnn field), and under
+    # the cde field, whose (2, 4) output is read as 2 x 2 matrices against
+    # its four stage rows
+    checks += _per_input("mlp_field",
+                         lambda h, u, *wb: _rk4_step(
+                             DenseField(_pairs(wb), u=u), h),
+                         ["h", "u", "w0", "b0", "w1", "b1"],
+                         [rng.normal(size=(2, 2)), rng.normal(size=(2, 2)),
+                          rng.normal(size=(5, 3)), rng.normal(size=3),
+                          rng.normal(size=(3, 2)), rng.normal(size=2)])
     checks += _per_input("cde_field",
-                         lambda h, w0, b0, w1, b1, rows: ad.cde_field(
-                             [h, col], [(w0, b0), (w1, b1)], rows, 1,
-                             out_tanh=True),
+                         lambda h, *wb_rows: _rk4_step(DenseField(
+                             _pairs(wb_rows[:-1]), out_tanh=True,
+                             rows=wb_rows[-1]), h),
                          ["h", "w0", "b0", "w1", "b1", "rows"],
-                         [a23[:, :2], dense[0], dense[1],
-                          rng.normal(size=(4, 6)), rng.normal(size=6),
-                          rng.normal(size=(2, 3, 3))])
+                         [rng.normal(size=(2, 2)), rng.normal(size=(3, 3)),
+                          rng.normal(size=3), rng.normal(size=(3, 4)),
+                          rng.normal(size=4), rng.normal(size=(2, 4, 2))])
     checks += _per_input("mse", lambda x: ad.mse(x, b23), ["pred"], [a23])
     checks += _per_input("mse_weighted",
                          lambda x: ad.mse(x, b23, np.array([0.25, 1.0])),
@@ -156,6 +166,11 @@ def op_checks(seed=0):
                           rng.normal(size=(3, 12)), rng.normal(size=(4, 12)),
                           rng.normal(size=12)])
     return checks
+
+
+def _rk4_step(field, h):
+    """One rk4 step of `field` from h across [0.2, 0.7]: one node."""
+    return integrate_span(field, h, 0.2, 0.7, 1, "rk4")[1]
 
 
 def _pairs(flat):

@@ -1,14 +1,12 @@
-"""Named parameter storage, seeded initialization, Adamax, checkpoints.
+"""Named parameter storage, seeded initialization, Adamax, checkpoint records.
 
 Parameters live in a ParamStore under unique names, each tagged 'psi'
 (controller side) or 'phi' (continuous-model side).  A forward pass asks
 the store for leaf nodes; after backward() the store collects gradients
-aligned with its insertion order.  Checkpoints are JSON records of
-(name, tag, shape, values) and round-trip exactly, since json serializes
-floats with shortest round-trip repr.
+aligned with its insertion order.  to_records gives the (name, tag,
+shape, values) records a ModelBundle checkpoint stores; they round-trip
+exactly, since json serializes floats with shortest round-trip repr.
 """
-
-import json
 
 import numpy as np
 
@@ -103,24 +101,6 @@ class ParamStore:
             }
             for p in self._params.values()
         ]
-
-    @classmethod
-    def from_records(cls, records):
-        store = cls()
-        for rec in records:
-            value = np.asarray(rec["values"], dtype=np.float64).reshape(rec["shape"])
-            store.create(rec["name"], value, rec["tag"])
-        return store
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump({"params": self.to_records()}, f)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            data = json.load(f)
-        return cls.from_records(data["params"])
 
 
 def uniform_init(rng, shape, fan_in):

@@ -527,30 +527,38 @@ def train(bundle, series_list, cfg):
 # ---------------------------------------------------------------------------
 # inference
 
-def _committed_pass(bundle, batch, queries=None):
-    """Run the execute-one loop with frozen parameters.
+def _committed_pass(runner, queries=None):
+    """Run the execute-one loop over runner's batch with frozen parameters.
 
     queries: optional {interval index a: times strictly inside
-    (t_a, t_{a+1})}.  Returns (committed states per observation time,
-    list of (t, readout value) at the queried times, the runner holding
-    the carried controller states).
+    (t_a, t_{a+1})}.  Yields, for j = 0 .. n-1, (j, the committed state
+    at observation j, the (t, readout value) pairs of the queried times
+    inside (t_{j-1}, t_j)).  The pass keeps no state history: callers
+    hold the states they read, and the runner drops each carried
+    controller state once the next one exists, since a frozen pass never
+    replays.
     """
-    runner = _WindowRunner(bundle, batch)
-    query_out = []
-    committed = []
+    bundle, batch = runner.bundle, runner.batch
     with ad.no_grad():
         h0 = bundle.model.encode_initial(bundle.store, batch.values[:, 0])
     runner.h_comm = h0.value
-    committed.append(h0.value)
+    yield 0, runner.h_comm, []
     for a, m_eff in runner.anchors():
         # frozen parameters: the carried state after obs a is exactly what
         # a replay would rebuild, so the plan is emitted from it directly
         runner._advance_zlist(a + 1)
+        runner.zlist[a] = None
         z = ControllerState(ad.constant(runner.zlist[a + 1]))
         inner = () if queries is None else tuple(queries.get(a, ()))
-        query_out.extend(runner.execute(z, a, m_eff, queries=inner))
-        committed.append(runner.h_comm)
-    return committed, query_out, runner
+        query_out = runner.execute(z, a, m_eff, queries=inner)
+        yield a + 1, runner.h_comm, query_out
+
+
+def _last_committed(runner):
+    """The committed state at the last observation of a frozen pass."""
+    for _, h, _ in _committed_pass(runner):
+        pass
+    return h
 
 
 def classify(bundle, series_list):
@@ -574,9 +582,9 @@ def classify(bundle, series_list):
     model, store = bundle.model, bundle.store
     for idxs in groups.values():
         batch = _Batch([items[i] for i in idxs])
-        committed, _, _ = _committed_pass(bundle, batch)
+        h = _last_committed(_WindowRunner(bundle, batch))
         with ad.no_grad():
-            logits = model.readout(store, ad.constant(committed[-1])).value
+            logits = model.readout(store, ad.constant(h)).value
         shifted = logits - logits.max(axis=1, keepdims=True)
         p = np.exp(shifted)
         p /= p.sum(axis=1, keepdims=True)
@@ -611,15 +619,15 @@ def interpolate(bundle, series, query_times):
         else:
             interior.setdefault(j - 1, []).append(q)
     qmap = {a: sorted(set(v)) for a, v in interior.items()}
-    committed, qout, _ = _committed_pass(bundle, batch, queries=qmap)
     model, store = bundle.model, bundle.store
     values = {}
-    with ad.no_grad():
+    for j, h, qout in _committed_pass(_WindowRunner(bundle, batch), qmap):
         for t, v in qout:
             values[t] = v[0]
-        for j, ts in at_obs.items():
-            v = model.readout(store, ad.constant(committed[j])).value[0]
-            for t in ts:
+        if j in at_obs:
+            with ad.no_grad():
+                v = model.readout(store, ad.constant(h)).value[0]
+            for t in at_obs[j]:
                 values[t] = v
     out = np.stack([values[q] for q in queries])
     if bundle.normalizer is not None:
@@ -642,7 +650,8 @@ def extrapolate(bundle, series, horizon_times):
         raise ValueError(
             "horizon times must be increasing and after the last observation")
     batch = _Batch([series])
-    committed, _, runner = _committed_pass(bundle, batch)
+    runner = _WindowRunner(bundle, batch)
+    h_last = _last_committed(runner)
     model, store, ctrl = bundle.model, bundle.store, bundle.controller
     n = batch.n_obs
     runner._advance_zlist(n)
@@ -654,7 +663,7 @@ def extrapolate(bundle, series, horizon_times):
         else:
             seq = ActionSequence(actions=[z.z] * (len(ht) + 1), anchor=n - 1,
                                  anchor_times=times)
-        traj = model.evolve(store, ad.constant(committed[-1]), seq,
+        traj = model.evolve(store, ad.constant(h_last), seq,
                             bundle.meta["substeps"], bundle.meta["method"])
         out = np.stack([model.readout(store, h).value[0]
                         for h in traj.states])

@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import npc.autodiff as ad
+from npc.odesolve import DenseField, integrate_span
 
 
 def test_constant_vs_leaf():
@@ -177,19 +180,28 @@ def _primitive_mlp_blocks(x0, x1, *wb):
     return _primitive_mlp(False)(joined, *wb)
 
 
-def _fused_cde_field(h, *wb_rows):
+def _cde_field_span(h, *wb_rows):
+    """One rk4 step of the cde's DenseField: one node."""
     *wb, rows = wb_rows
-    return ad.cde_field([h, _DATA_COL], list(zip(wb[::2], wb[1::2])), rows,
-                        2, out_tanh=True)
+    field = DenseField(list(zip(wb[::2], wb[1::2])), out_tanh=True, rows=rows)
+    return integrate_span(field, h, 0.2, 0.5, 1, "rk4")[1]
 
 
-def _primitive_cde_field(h, *wb_rows):
+def _primitive_cde_field_span(h, *wb_rows):
+    """The same step with the field built from primitive ops, one node per
+    op; stage s multiplies row s."""
     *wb, rows = wb_rows
     b, _, c = rows.value.shape
-    joined = ad.concat([h, ad.constant(_DATA_COL)], axis=1)
-    flat = _primitive_mlp(True)(joined, *wb)
-    mat = ad.reshape(flat, (b, flat.value.shape[1] // c, c))
-    return ad.bmatvec(mat, ad.reshape(ad.narrow(rows, 1, 2, 1), (b, c)))
+    stage = itertools.count()
+
+    def f(state, t):
+        joined = ad.concat([state, ad.constant(np.full((b, 1), t))], axis=1)
+        flat = _primitive_mlp(True)(joined, *wb)
+        mat = ad.reshape(flat, (b, flat.value.shape[1] // c, c))
+        row = ad.reshape(ad.narrow(rows, 1, next(stage), 1), (b, c))
+        return ad.bmatvec(mat, row)
+
+    return integrate_span(f, h, 0.2, 0.5, 1, "rk4")[1]
 
 
 def _primitive_mse(pred, target, weights=None):
@@ -236,9 +248,9 @@ FUSED_CASES = {
     "mlp_blocks": (_fused_mlp_blocks, _primitive_mlp_blocks,
                    [_RNG.normal(size=(4, 1)), _RNG.normal(size=(4, 1))]
                    + _DENSE[1:]),
-    "cde_field": (_fused_cde_field, _primitive_cde_field,
+    "cde_field": (_cde_field_span, _primitive_cde_field_span,
                   [_RNG.normal(size=s) for s in
-                   [(4, 2), (3, 5), (5,), (5, 6), (6,), (4, 3, 3)]]),
+                   [(4, 2), (3, 5), (5,), (5, 6), (6,), (4, 4, 3)]]),
     "mse": (lambda x: ad.mse(x, _TARGET),
             lambda x: _primitive_mse(x, _TARGET), [_RNG.normal(size=(4, 3))]),
     "mse_weighted": (lambda x: ad.mse(x, _TARGET, _WEIGHTS),
@@ -296,16 +308,6 @@ def test_fused_ops_skip_constant_input_adjoint():
     (lambda: ad.mlp([], [(ad.constant(np.ones((4, 2))),
                           ad.constant(np.zeros(2)))]),
      "mlp: input blocks []"),
-    (lambda: ad.cde_field([np.ones((4, 3))],
-                          [(ad.constant(np.ones((3, 5))),
-                            ad.constant(np.zeros(5)))],
-                          ad.constant(np.ones((4, 2, 3))), 0),
-     "cde_field: field output (4, 5) and row 0 of (4, 2, 3) do not align"),
-    (lambda: ad.cde_field([np.ones((4, 3))],
-                          [(ad.constant(np.ones((3, 6))),
-                            ad.constant(np.zeros(6)))],
-                          ad.constant(np.ones((4, 2, 3))), 2),
-     "row 2 of (4, 2, 3)"),
     (lambda: ad.mse(ad.constant(np.ones((4, 3))), np.ones((4, 1))),
      "mse: prediction (4, 3) and target (4, 1)"),
     (lambda: ad.mse(ad.constant(np.ones((4, 3))), np.ones((4, 3)),
@@ -350,7 +352,7 @@ def test_mlp_blocks_route_adjoint_to_node_blocks_only():
 def test_cde_field_skips_constant_rows_adjoint():
     values = FUSED_CASES["cde_field"][2]
     nodes = [ad.leaf(v) for v in values[:-1]] + [ad.constant(values[-1])]
-    ad.backward(ad.sum_(ad.square(_fused_cde_field(*nodes))))
+    ad.backward(ad.sum_(ad.square(_cde_field_span(*nodes))))
     assert nodes[-1].grad is None
     assert all(n.grad is not None for n in nodes[:-1])
 
@@ -359,41 +361,28 @@ def test_cde_field_skips_constant_rows_adjoint():
 @given(batch=st.integers(1, 4),
        widths=st.lists(st.integers(1, 3), min_size=1, max_size=3),
        depth=st.integers(1, 3), out_tanh=st.booleans(),
-       data_block=st.booleans(), field=st.booleans(),
-       seed=st.integers(0, 2**16))
+       data_block=st.booleans(), seed=st.integers(0, 2**16))
 def test_fused_dense_ops_match_primitive_graph(batch, widths, depth, out_tanh,
-                                               data_block, field, seed):
-    """mlp and cde_field against concat + matmul/tanh stack (+ reshape,
-    narrow and bmatvec): value and every input's gradient within 1e-12."""
+                                               data_block, seed):
+    """mlp against concat + matmul/tanh stack: value and every input's
+    gradient within 1e-12."""
     rng = np.random.default_rng(seed)
     blocks = [rng.normal(size=(batch, w)) for w in widths]
     col = rng.normal(size=(batch, 1)) if data_block else None
-    n, c, s = 2, 3, 4
-    dims = [sum(widths) + data_block] + [3] * (depth - 1)
-    dims.append(n * c if field else 2)
+    dims = [sum(widths) + data_block] + [3] * (depth - 1) + [2]
     values = blocks + [rng.normal(size=shape) for i in range(depth)
                        for shape in ((dims[i], dims[i + 1]), (dims[i + 1],))]
-    if field:
-        values.append(rng.normal(size=(batch, s, c)))
-    stage = seed % s
     k = len(blocks)
 
     def fused(*nodes):
         wb = nodes[k:k + 2 * depth]
-        layers = list(zip(wb[::2], wb[1::2]))
         inputs = list(nodes[:k]) + ([col] if data_block else [])
-        if field:
-            return ad.cde_field(inputs, layers, nodes[-1], stage, out_tanh)
-        return ad.mlp(inputs, layers, out_tanh)
+        return ad.mlp(inputs, list(zip(wb[::2], wb[1::2])), out_tanh)
 
     def primitive(*nodes):
         inputs = list(nodes[:k]) + ([ad.constant(col)] if data_block else [])
         joined = ad.concat(inputs, axis=1)
-        flat = _primitive_mlp(out_tanh)(joined, *nodes[k:k + 2 * depth])
-        if not field:
-            return flat
-        row = ad.reshape(ad.narrow(nodes[-1], 1, stage, 1), (batch, c))
-        return ad.bmatvec(ad.reshape(flat, (batch, n, c)), row)
+        return _primitive_mlp(out_tanh)(joined, *nodes[k:k + 2 * depth])
 
     results = []
     for op in (fused, primitive):

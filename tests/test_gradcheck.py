@@ -87,6 +87,7 @@ def test_corrupted_fused_rule_is_caught():
 
 
 @pytest.mark.parametrize("entry", ["mlp_blocks", "mlp_blocks_x1",
+                                   "mlp_field", "mlp_field_u",
                                    "cde_field", "cde_field_rows", "mse",
                                    "mse_weighted"])
 def test_new_fused_entries_catch_corruption(entry):

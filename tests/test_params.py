@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -60,25 +58,6 @@ def test_gradients_zero_for_untouched():
     np.testing.assert_allclose(g["phi.w"], [0.0])
     g_psi = s.gradients("psi")
     assert set(g_psi) == {"psi.w"}
-
-
-def test_records_round_trip_exact(tmp_path):
-    s = _store()
-    s.set_value("phi.w", np.array([1.0 / 3.0]))
-    path = tmp_path / "params.json"
-    s.save(path)
-    loaded = ParamStore.load(path)
-    for name in s.names():
-        assert loaded.tag(name) == s.tag(name)
-        np.testing.assert_array_equal(loaded.value(name), s.value(name))
-
-
-def test_records_survive_json_text_round_trip():
-    s = _store()
-    s.set_value("phi.w", np.array([np.pi]))
-    text = json.dumps(s.to_records())
-    again = ParamStore.from_records(json.loads(text))
-    assert float(again.value("phi.w")[0]) == float(np.pi)
 
 
 def test_uniform_init_bounds():

@@ -7,8 +7,8 @@ import npc.autodiff as ad
 from npc.controller import ActionSequence, Controller, ControllerState
 from npc.datagen import Normalizer, TimeSeries, drop_observations, gen_sine_regression
 from npc.trainer import (_META_KEYS, ModelBundle, TrainConfig,
-                         TrainingDiverged, _Batch, _group_series,
-                         _WindowRunner, classify,
+                         TrainingDiverged, _Batch, _committed_pass,
+                         _group_series, _WindowRunner, classify,
                          evaluate_classification, evaluate_interpolation,
                          extrapolate, interpolate, sensitivity_sweep, train)
 
@@ -333,6 +333,18 @@ def test_single_horizon_classify_steps_controller_once_per_observation(
     np.testing.assert_array_equal(probs, p.max(axis=1))
 
 
+@pytest.mark.parametrize("algorithm", ["npc", "single_horizon"])
+def test_frozen_pass_keeps_only_live_carried_states(algorithm):
+    series = _class_series(n=3, length=12, seed=5)
+    runner = _WindowRunner(_tiny_bundle(algorithm=algorithm, seed=5),
+                           _Batch(series))
+    seen = []
+    for j, _, _ in _committed_pass(runner):
+        seen.append(j)
+        assert sum(z is not None for z in runner.zlist) <= 2
+    assert seen == list(range(12))
+
+
 def _full_window_nodes(backend):
     """Differentiable nodes reachable from one full criterion-2 window
     (anchor 4, m = 5, B = 1); a window's tape depends on m, window and
@@ -358,11 +370,11 @@ def _full_window_nodes(backend):
 
 
 def test_window_tape_stays_within_node_budget():
-    assert _full_window_nodes("ode_rnn") <= 200
+    assert _full_window_nodes("ode_rnn") <= 77
 
 
 def test_cde_window_tape_stays_within_node_budget():
-    assert _full_window_nodes("cde") <= 200
+    assert _full_window_nodes("cde") <= 73
 
 
 def test_classify_wrong_task_rejected():
