@@ -9,7 +9,7 @@ knots, and rk4/euler integration on the autodiff tape.
 import numpy as np
 
 import npc.autodiff as ad
-from npc.odesolve import TimeGrid, ode_solve
+from npc.odesolve import DenseField, TimeGrid, ode_solve
 from npc.spline import CubicPath
 
 # a path through 6 irregularly spaced knots, two channels
@@ -29,13 +29,15 @@ fd = (path.evaluate(mid + eps) - path.evaluate(mid - eps)) / (2 * eps)
 print("max derivative gap vs finite differences:",
       np.max(np.abs(path.derivative(mid) - fd)))
 
-# integrate dh/dt = -h from 1; the answer is exp(-t)
+# integrate dh/dt = -h from 1; the answer is exp(-t).  The right-hand side
+# is a one-layer dense field over [h, t], the form the models' fields take
+decay = DenseField([(ad.constant([[-1.0], [0.0]]), ad.constant([0.0]))])
 print("\nsolver convergence on dh/dt = -h over [0, 1]:")
 print(f"{'substeps':>9} {'rk4 error':>12} {'euler error':>12}")
 for sub in (4, 8, 16, 32):
     errs = []
     for method in ("rk4", "euler"):
-        traj = ode_solve(lambda h, t_: ad.neg(h), np.array([[1.0]]),
+        traj = ode_solve(decay, np.array([[1.0]]),
                          TimeGrid([0.0, 1.0], sub), method=method)
         errs.append(abs(traj.states[-1].value[0, 0] - np.exp(-1.0)))
     print(f"{sub:>9} {errs[0]:>12.3e} {errs[1]:>12.3e}")
@@ -43,7 +45,7 @@ print("halving the step cuts rk4 error ~16x and euler error ~2x")
 
 # gradients flow through the whole integration
 h0 = ad.leaf(np.array([[1.0]]))
-traj = ode_solve(lambda h, t_: ad.neg(h), h0, TimeGrid([0.0, 1.0], 32))
+traj = ode_solve(decay, h0, TimeGrid([0.0, 1.0], 32))
 ad.backward(ad.sum_(traj.states[-1]))
 print("\nd h(1) / d h(0) =", float(h0.grad[0, 0]), "(exact: exp(-1) =",
       round(np.exp(-1.0), 9), ")")

@@ -13,14 +13,14 @@ promoted); anything richer must be spelled out by the caller.
 
 The arrays are small (a batch of a few series by a few dozen units), so a
 graph's cost is the Python work per node more than the arithmetic.  The
-fused ops add_scaled (a + b * c, the generic solver's update), linear,
-mlp (a whole dense stack over column blocks it joins itself), gru_step
-(one GRU cell) and mse (one squared-error term) each build a single node
-whose hand-written adjoint repeats the arithmetic of the primitive-op
-graph they replace.  The dense-stack helpers _dense and _dense_back are
-shared with odesolve's fused interval op, which integrates a whole
-interval of a dense vector field as one node.  Each op, fused or
-primitive, has a finite-difference check in gradcheck.op_checks.
+fused ops linear, mlp (a whole dense stack over column blocks it joins
+itself), gru_step (one GRU cell) and mse (one squared-error term) each
+build a single node whose hand-written adjoint repeats the arithmetic of
+the primitive-op graph they replace.  The dense-stack helpers _dense and
+_dense_back are shared with odesolve's fused interval op, which
+integrates a whole interval of a dense vector field as one node.  The
+module holds only ops the package calls; each has a finite-difference
+check in gradcheck.op_checks.
 
 State is confined to the calling thread: the grad-enabled flag is
 thread-local and node ids come from a single monotone counter, so distinct
@@ -36,10 +36,9 @@ from scipy.special import expit
 
 __all__ = [
     "Node", "constant", "leaf", "no_grad", "grad_enabled", "backward",
-    "add", "sub", "mul", "neg", "add_const", "mul_const", "matmul",
-    "bmatvec", "tanh", "relu", "sigmoid", "log", "square", "concat",
-    "narrow", "reshape", "sum_", "mean_", "softmax_cross_entropy",
-    "add_scaled", "linear", "mlp", "gru_step", "mse",
+    "add", "mul_const", "matmul", "tanh", "square", "concat", "narrow",
+    "reshape", "sum_", "mean_", "softmax_cross_entropy", "linear", "mlp",
+    "gru_step", "mse",
 ]
 
 _ids = itertools.count()
@@ -85,33 +84,6 @@ class Node:
     @property
     def shape(self):
         return self.value.shape
-
-    # Convenience arithmetic.  Plain numbers and arrays enter as constants.
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, Node):
-            return mul(self, other)
-        return mul_const(self, other)
-
-    def __rmul__(self, other):
-        return mul_const(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Node(shape={self.value.shape}, requires={self.requires})"
@@ -181,50 +153,6 @@ def add(a, b):
     return _make(a.value + b.value, (a, b), back)
 
 
-def sub(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_elementwise("sub", a, b)
-    sa, sb = a.value.shape, b.value.shape
-
-    def back(g):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
-
-    return _make(a.value - b.value, (a, b), back)
-
-
-def mul(a, b):
-    a, b = _lift(a), _lift(b)
-    _check_elementwise("mul", a, b)
-    va, vb = a.value, b.value
-
-    def back(g):
-        return _unbroadcast(g * vb, va.shape), _unbroadcast(g * va, vb.shape)
-
-    return _make(va * vb, (a, b), back)
-
-
-def neg(a):
-    def back(g):
-        return (-g,)
-
-    return _make(-a.value, (a,), back)
-
-
-def add_const(a, c):
-    """a + c where c is data, never differentiated."""
-    c = _as_f64(c)
-    value = a.value + c
-    if value.shape != a.value.shape:
-        raise ValueError(
-            f"add_const: constant {c.shape} would widen operand {a.value.shape}"
-        )
-
-    def back(g):
-        return (g,)
-
-    return _make(value, (a,), back)
-
-
 def mul_const(a, c):
     """a * c where c is data (scalar or array broadcastable up to a.shape)."""
     c = _as_f64(c)
@@ -238,23 +166,6 @@ def mul_const(a, c):
         return (g * c,)
 
     return _make(value, (a,), back)
-
-
-def add_scaled(a, b, c):
-    """a + b * c as one node; c is data (scalar or array broadcastable up
-    to b.shape), never differentiated, and a and b share a shape."""
-    c = _as_f64(c)
-    scaled = b.value * c
-    if scaled.shape != b.value.shape or a.value.shape != b.value.shape:
-        raise ValueError(
-            f"add_scaled: shapes {a.value.shape} + {b.value.shape} * "
-            f"{c.shape} do not align"
-        )
-
-    def back(g):
-        return g, g * c
-
-    return _make(a.value + scaled, (a, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +208,6 @@ def matmul(a, b):
     return _make(value, (a, b), back)
 
 
-def bmatvec(a, x):
-    """Batched matrix-vector product: (B,n,k) @ (B,k) -> (B,n)."""
-    a, x = _lift(a), _lift(x)
-    va, vx = a.value, x.value
-    if va.ndim != 3 or vx.ndim != 2 or va.shape[0] != vx.shape[0] or va.shape[2] != vx.shape[1]:
-        raise ValueError(f"bmatvec: shapes {va.shape} and {vx.shape} do not align")
-    value = np.einsum("bnk,bk->bn", va, vx)
-
-    def back(g):
-        return (np.einsum("bn,bk->bnk", g, vx),
-                np.einsum("bnk,bn->bk", va, g))
-
-    return _make(value, (a, x), back)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and pointwise maps
 
@@ -322,35 +218,6 @@ def tanh(a):
         return (g * (1.0 - t * t),)
 
     return _make(t, (a,), back)
-
-
-def relu(a):
-    m = a.value > 0
-
-    def back(g):
-        return (g * m,)
-
-    return _make(np.where(m, a.value, 0.0), (a,), back)
-
-
-def sigmoid(a):
-    s = expit(a.value)
-
-    def back(g):
-        return (g * s * (1.0 - s),)
-
-    return _make(s, (a,), back)
-
-
-def log(a):
-    if np.any(a.value <= 0):
-        raise ValueError("log: input must be strictly positive")
-    va = a.value
-
-    def back(g):
-        return (g / va,)
-
-    return _make(np.log(va), (a,), back)
 
 
 def square(a):

@@ -82,28 +82,17 @@ def op_checks(seed=0):
     b23 = rng.normal(size=(2, 3))
     w34 = rng.normal(size=(3, 4))
     mix = rng.normal(size=(5, 2))
-    bm_vec = rng.normal(size=(2, 4))
-    bm_mat = rng.normal(size=(2, 3, 4))
 
     checks = [
         ("add", lambda x: _scalarize(ad.add(ad.reshape(x, (2, 3)), ad.constant(b23))), a23.ravel()),
         ("add_broadcast", lambda x: _scalarize(ad.add(ad.constant(a23), ad.reshape(x, (3,)))), rng.normal(size=3)),
-        ("sub", lambda x: _scalarize(ad.sub(ad.reshape(x, (2, 3)), ad.constant(b23))), a23.ravel()),
-        ("mul", lambda x: _scalarize(ad.mul(ad.reshape(x, (2, 3)), ad.constant(b23))), a23.ravel()),
-        ("neg", lambda x: _scalarize(ad.neg(x)), rng.normal(size=4)),
-        ("add_const", lambda x: _scalarize(ad.add_const(x, 2.5)), rng.normal(size=4)),
         ("mul_const", lambda x: _scalarize(ad.mul_const(x, -1.7)), rng.normal(size=4)),
         ("matmul", lambda x: _scalarize(ad.matmul(ad.reshape(x, (2, 3)), ad.constant(w34))), a23.ravel()),
         ("matmul_rhs", lambda x: _scalarize(ad.matmul(ad.constant(a23), ad.reshape(x, (3, 4)))), w34.ravel()),
         ("matmul_vec", lambda x: _scalarize(ad.matmul(ad.constant(a23), x)), rng.normal(size=3)),
         ("matmul_vec_left", lambda x: _scalarize(ad.matmul(x, ad.constant(w34))), rng.normal(size=3)),
         ("matmul_batched", lambda x: _scalarize(ad.matmul(ad.constant(mix), ad.reshape(x, (4, 2, 3)))), rng.normal(size=24)),
-        ("bmatvec", lambda x: _scalarize(ad.bmatvec(ad.reshape(x, (2, 3, 4)), ad.constant(bm_vec))), rng.normal(size=24)),
-        ("bmatvec_vec", lambda x: _scalarize(ad.bmatvec(ad.constant(bm_mat), ad.reshape(x, (2, 4)))), rng.normal(size=8)),
         ("tanh", lambda x: _scalarize(ad.tanh(x)), rng.normal(size=5)),
-        ("relu", lambda x: _scalarize(ad.relu(x)), rng.normal(size=5) + 0.3),
-        ("sigmoid", lambda x: _scalarize(ad.sigmoid(x)), rng.normal(size=5)),
-        ("log", lambda x: _scalarize(ad.log(x)), rng.uniform(0.5, 2.0, size=5)),
         ("square", lambda x: _scalarize(ad.square(x)), rng.normal(size=5)),
         ("concat", lambda x: _scalarize(ad.concat([ad.reshape(x, (2, 3)), ad.constant(b23)], axis=1)), a23.ravel()),
         ("narrow", lambda x: _scalarize(ad.square(ad.narrow(ad.reshape(x, (2, 3)), 1, 1, 2))), a23.ravel()),
@@ -122,8 +111,6 @@ def op_checks(seed=0):
     # first input's check carries the op's own name
     dense = [rng.normal(size=(3, 4)), rng.normal(size=4),
              rng.normal(size=(4, 2)), rng.normal(size=2)]
-    checks += _per_input("add_scaled", lambda a, b: ad.add_scaled(a, b, -1.7),
-                         ["a", "b"], [a23, b23])
     checks += _per_input("linear", ad.linear, ["x", "w", "b"],
                          [a23, w34, rng.normal(size=4)])
     checks += _per_input("mlp", lambda x, *wb: ad.mlp([x], _pairs(wb)),

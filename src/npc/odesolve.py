@@ -6,19 +6,16 @@ covered by `substeps` uniform steps.  Interval endpoints may be floats or
 (B, 1) arrays, which lets a batch of series with different clocks
 integrate in lockstep; time enters the derivative in the same form.
 
-integrate_span takes one of two kinds of derivative:
+The derivative is a DenseField: a dense stack over [h, u, t], the form
+of both models' vector fields (a linear equation such as dh/dt = -h is
+a one-layer stack).  integrate_span covers a whole interval, every
+substep and every rk4 or euler stage, as one tape node.  Its forward
+runs on plain arrays and keeps the stage activations only when a parent
+needs a gradient; its adjoint walks the stages in reverse through
+autodiff's dense-stack backward.
 
-* a callback f(h, t) -> Node, whose stages are unrolled onto the autodiff
-  tape by _step, one node per evaluation and per update (ode_solve);
-* a DenseField, a dense stack over [h, u, t] (the models' vector fields),
-  integrated by _field_span as one tape node per interval.  Its forward
-  runs on plain arrays in _step's arithmetic order, so its values equal
-  the unrolled graph's bit for bit; it keeps the stage activations only
-  when a parent needs a gradient, and its adjoint walks the stages in
-  reverse through autodiff's dense-stack backward.
-
-span_steps is the one place that lays out steps and stage times: both
-integrators walk it, and the cde backend of ContinuousModel reads it
+span_steps is the one place that lays out steps and stage times: the
+integrator walks it, and the cde backend of ContinuousModel reads it
 ahead of integration to evaluate its spline derivative at every stage
 time in one weight matrix.
 """
@@ -78,13 +75,19 @@ def span_steps(t0, t1, substeps, method, interior=()):
 
     Yields (dt, stage times, end time) per step; the stage times are where
     the scheme evaluates f, in call order: (a,) for euler and
-    (a, a + dt/2, a + dt/2, a + dt) for rk4.  integrate_span walks exactly
-    these steps, and ContinuousModel's cde backend reads them to build its
-    spline-derivative rows before integrating, so the two cannot drift.
+    (a, a + dt/2, a + dt/2, a + dt) for rk4.  Each interior time, which
+    must lie strictly inside (t0, t1), also ends a step.  integrate_span
+    walks exactly these steps, and ContinuousModel's cde backend reads them
+    to build its spline-derivative rows before integrating, so the two
+    cannot drift.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if not isinstance(t0, np.ndarray):
+        for t in interior:
+            if not t0 < t < t1:
+                raise ValueError(f"interior time {t} is not strictly inside "
+                                 f"({t0}, {t1})")
         cuts = sorted(set(np.linspace(t0, t1, substeps + 1)[1:-1]).union(interior))
         points = [t0, *cuts, t1]
     else:
@@ -99,17 +102,6 @@ def span_steps(t0, t1, substeps, method, interior=()):
         else:
             tm = a + dt / 2.0
             yield dt, (a, tm, tm, a + dt), b
-
-
-def _step(f, h, dt, ts, method):
-    if method == "euler":
-        return ad.add_scaled(h, f(h, ts[0]), dt)
-    k1 = f(h, ts[0])
-    k2 = f(ad.add_scaled(h, k1, dt / 2.0), ts[1])
-    k3 = f(ad.add_scaled(h, k2, dt / 2.0), ts[2])
-    k4 = f(ad.add_scaled(h, k3, dt), ts[3])
-    acc = ad.add_scaled(ad.add(k1, k4), ad.add(k2, k3), 2.0)
-    return ad.add_scaled(h, acc, dt / 6.0)
 
 
 class DenseField:
@@ -234,7 +226,7 @@ class _Adjoints:
 
 
 def _field_steps(field, hv, steps, method, row, keep):
-    """Plain-array forward over `steps` from state hv, in _step's order.
+    """Plain-array forward over `steps` from state hv.
 
     Returns the end state and, when keep, one (dt, first row, stage
     records) entry per step for the adjoint; raises BlowupError at the end
@@ -272,8 +264,8 @@ def _field_span(field, h, steps, method, row):
         return ad.Node(value), row + n_stages
 
     def back(g):
-        # _step's graph in reverse: add_scaled(a, b, c) passes g to a and
-        # g * c to b, and add passes g to both operands
+        # the forward's updates in reverse: a + b * c passes g to a and
+        # g * c to b, and a sum passes g to both operands
         adj = _Adjoints(field, h.value.shape[1])
         for dt, r, recs in reversed(tape):
             if method == "euler":
@@ -292,39 +284,31 @@ def _field_span(field, h, steps, method, row):
     return ad.Node(value, parents, back, requires=True), row + n_stages
 
 
-def integrate_span(f, h, t0, t1, substeps, method, interior=()):
-    """Advance h from t0 to t1; also report states at `interior` times.
+def integrate_span(field, h, t0, t1, substeps, method, interior=()):
+    """Advance h from t0 to t1 under a DenseField; also report states at
+    `interior` times.
 
-    f is a callback f(h, t) -> Node, unrolled stage by stage, or a
-    DenseField, integrated as one node from t0 to t1 (one node per piece
-    between reported times when interior is given).  interior must be
-    sorted and strictly inside (t0, t1); it is honored by splitting
-    substeps at those exact times, so reported states carry no
-    interpolation error beyond the scheme itself.  Returns
-    (list of (t, state) for interior times, end state).
+    The span is one tape node (one node per piece between reported times
+    when interior is given).  interior times must lie strictly inside
+    (t0, t1); they are honored by splitting substeps at those exact
+    times, so reported states carry no interpolation error beyond the
+    scheme itself.  Returns (list of (t, state) for interior times, end
+    state).
     """
     wanted = set(interior)
     out = []
-    steps = span_steps(t0, t1, substeps, method, interior)
-    if isinstance(f, DenseField):
-        piece, row = [], f.first_row
-        for step in steps:
-            piece.append(step)
-            if wanted and step[2] in wanted:
-                h, row = _field_span(f, h, piece, method, row)
-                out.append((step[2], h))
-                piece = []
-        return out, _field_span(f, h, piece, method, row)[0]
-    for dt, ts, b in steps:
-        h = _step(f, h, dt, ts, method)
-        _check_finite(h.value, b)
-        if wanted and b in wanted:
-            out.append((b, h))
-    return out, h
+    piece, row = [], field.first_row
+    for step in span_steps(t0, t1, substeps, method, interior):
+        piece.append(step)
+        if wanted and step[2] in wanted:
+            h, row = _field_span(field, h, piece, method, row)
+            out.append((step[2], h))
+            piece = []
+    return out, _field_span(field, h, piece, method, row)[0]
 
 
-def ode_solve(derivative, h0, grid, method="rk4"):
-    """Integrate dh/dt = derivative(h, t) across grid.eval_times.
+def ode_solve(field, h0, grid, method="rk4"):
+    """Integrate dh/dt = field(h, t), a DenseField, across grid.eval_times.
 
     h0 may be a Node or an array; states[k] is the solution at
     eval_times[k], with states[0] == h0.
@@ -333,6 +317,6 @@ def ode_solve(derivative, h0, grid, method="rk4"):
     _check_finite(h.value, grid.eval_times[0])
     states = [h]
     for a, b in zip(grid.eval_times, grid.eval_times[1:]):
-        _, h = integrate_span(derivative, h, a, b, grid.substeps, method)
+        _, h = integrate_span(field, h, a, b, grid.substeps, method)
         states.append(h)
     return Trajectory(times=list(grid.eval_times), states=states)

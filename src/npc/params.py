@@ -126,7 +126,7 @@ class Adamax:
         self._m = {}
         self._u = {}
 
-    def step(self, grads, skip_prefixes=()):
+    def step(self, grads):
         self.t += 1
         scale = self.lr / (1.0 - self.beta1 ** self.t)
         for name in self.store.names():
@@ -135,8 +135,6 @@ class Adamax:
                 continue
             if not np.all(np.isfinite(g)):
                 raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-            if any(name.startswith(p) for p in skip_prefixes):
-                continue
             m = self._m.get(name)
             if m is None:
                 m = np.zeros_like(g)

@@ -51,8 +51,6 @@ class TrainConfig:
     seed: int = 0
     patience: int = 10
     min_rel_improve: float = 1e-5
-    shuffle: bool = True
-    freeze_prefixes: tuple = ()
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch < 1 or self.stride < 1:
@@ -472,10 +470,8 @@ def train(bundle, series_list, cfg):
     is_npc = bundle.meta["algorithm"] == "npc"
 
     for epoch in range(cfg.epochs):
-        order = (rng.permutation(len(batches)) if cfg.shuffle
-                 else np.arange(len(batches)))
         epoch_objs = []
-        for bi in order:
+        for bi in rng.permutation(len(batches)):
             runner = _WindowRunner(bundle, batches[bi])
             n = batches[bi].n_obs
             units = runner.anchors(cfg.stride) if is_npc else [(None, None)]
@@ -496,8 +492,7 @@ def train(bundle, series_list, cfg):
                     if cfg.inner_steps == 0:
                         break
                     ad.backward(loss)
-                    opt.step(bundle.store.gradients(),
-                             skip_prefixes=cfg.freeze_prefixes)
+                    opt.step(bundle.store.gradients())
                 report.window_objectives.append(first_obj)
                 epoch_objs.append(first_obj)
                 if is_npc:

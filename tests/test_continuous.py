@@ -111,6 +111,17 @@ def test_commit_step_interior_queries():
     assert all(s.value.shape == (2, 4) for _, s in out)
 
 
+@pytest.mark.parametrize("backend", ["ode_rnn", "cde"])
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_commit_step_rejects_queries_outside_interval(backend, q):
+    # the first interval is (0.0, 0.5): its end and a time past it
+    model, store = _model(backend, seed=8)
+    with pytest.raises(ValueError) as err:
+        model.commit_step(store, ad.constant(np.zeros((2, 4))), _seq(seed=9),
+                          substeps=4, queries=(q,))
+    assert f"interior time {q} is not strictly inside" in str(err.value)
+
+
 def test_ragged_anchor_times():
     model, store = _model(seed=10)
     rng = np.random.default_rng(11)

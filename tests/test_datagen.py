@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from npc.datagen import (CsvFormatError, Normalizer, TimeSeries,
                          drop_observations, gen_sine_regression,
@@ -180,6 +184,43 @@ def test_csv_round_trip_labeled(tmp_path):
     for a, b in zip(series, back):
         assert a.label == b.label
         np.testing.assert_array_equal(a.values, b.values)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _series_lists(draw):
+    """1-4 series of 1-6 points over one layout of 1-3 channels, with or
+    without labels, each point hidden or not."""
+    d, labeled = draw(st.integers(1, 3)), draw(st.booleans())
+    out = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        times = sorted(draw(st.lists(_FINITE, min_size=n, max_size=n,
+                                     unique=True)))
+        values = draw(st.lists(st.lists(_FINITE, min_size=d, max_size=d),
+                               min_size=n, max_size=n))
+        mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        label = draw(st.integers(0, 9)) if labeled else None
+        out.append(TimeSeries(np.array(times), np.array(values), label=label,
+                              mask=np.array(mask)))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(series=_series_lists())
+def test_csv_round_trip_property(series):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "series.csv")
+        save_csv(series, path)
+        back = load_csv(path)
+    assert len(back) == len(series)
+    for a, b in zip(series, back):
+        np.testing.assert_array_equal(b.times, a.times)
+        np.testing.assert_array_equal(b.mask, a.mask)
+        np.testing.assert_array_equal(b.observed()[1], a.observed()[1])
+        assert b.label == a.label
 
 
 def test_csv_normalizer_hook(tmp_path):

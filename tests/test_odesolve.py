@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 import npc.autodiff as ad
+import refgraph as ref
 from npc import odesolve
 from npc.odesolve import (BlowupError, DenseField, TimeGrid, integrate_span,
                           ode_solve)
 
 
-def _decay(h, t):
-    return ad.neg(h)
+def _linear(rate):
+    """dh/dt = rate * h for a (B, 1) state: one dense layer over [h, t]."""
+    return DenseField([(ad.constant([[rate], [0.0]]), ad.constant([0.0]))])
+
+
+_decay = _linear(-1.0)
 
 
 def test_rk4_matches_exponential():
@@ -76,11 +81,8 @@ def test_unknown_method_rejected():
 
 
 def test_blowup_reports_time():
-    def explode(h, t):
-        return ad.square(h)
-
     with pytest.raises(BlowupError) as exc, np.errstate(over="ignore"):
-        ode_solve(explode, np.array([[1e200]]), TimeGrid([0.0, 1.0], 4))
+        ode_solve(_linear(1e200), np.array([[1e200]]), TimeGrid([0.0, 1.0], 4))
     assert 0.0 < exc.value.t <= 1.0
 
 
@@ -98,6 +100,17 @@ def test_batched_interior_queries_rejected():
         integrate_span(_decay, ad.constant(np.ones((2, 1))),
                        np.zeros((2, 1)), np.ones((2, 1)), 4, "rk4",
                        interior=(0.5,))
+
+
+@pytest.mark.parametrize("t", [1.5, 1.0, 0.0, -0.2])
+def test_interior_time_outside_span_rejected(t):
+    # unchecked, 1.5 lays out a backward step after t1 and 1.0 reports t1
+    # twice
+    with pytest.raises(ValueError) as err:
+        integrate_span(_decay, ad.constant(np.array([[1.0]])), 0.0, 1.0, 4,
+                       "rk4", interior=(0.5, t))
+    assert f"interior time {t} is not strictly inside (0.0, 1.0)" in str(
+        err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +163,7 @@ def _fused(cde, t0, t1, method, interior=()):
 
 
 def _unrolled(cde, t0, t1, method, interior=()):
-    """The same span from ad.mlp and primitive ops, one node per stage."""
+    """The same span from ad.mlp and reference ops, one node per stage."""
     def run(h, *rest):
         if cde:
             rows, stage = rest[-1], itertools.count(1)
@@ -158,11 +171,11 @@ def _unrolled(cde, t0, t1, method, interior=()):
             def f(s, t):
                 flat = ad.mlp([s, _tcol(t)], _pairs(rest[:-1]), out_tanh=True)
                 row = ad.reshape(ad.narrow(rows, 1, next(stage), 1), (_B, _C))
-                return ad.bmatvec(ad.reshape(flat, (_B, _H, _C)), row)
+                return ref.bmatvec(ad.reshape(flat, (_B, _H, _C)), row)
         else:
             def f(s, t):
                 return ad.mlp([s, rest[0], _tcol(t)], _pairs(rest[1:]))
-        return integrate_span(f, h, t0, t1, _SUB, method, interior)
+        return ref.unrolled_span(f, h, t0, t1, _SUB, method, interior)
     return run
 
 
@@ -247,17 +260,14 @@ def test_no_grad_span_keeps_no_stage_arrays(monkeypatch):
 
 @pytest.mark.parametrize("method", ["rk4", "euler"])
 def test_dense_field_blowup_reports_step_end_time(method):
-    # a constant field of 1.6e307 from 1e308: the third step of width 2
-    # overflows, on both integrators
+    # a constant field of 1.6e307 from 1e308: the state after the third
+    # step of width 2 is 1e308 + 3 * 3.2e307, which overflows
     layers = [(ad.constant(np.zeros((2, 1))), ad.constant(np.full(1, 1.6e307)))]
     h0 = ad.constant(np.full((1, 1), 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BlowupError) as fused:
+        with pytest.raises(BlowupError) as err:
             integrate_span(DenseField(layers), h0, 0.0, 8.0, 4, method)
-        with pytest.raises(BlowupError) as unrolled:
-            integrate_span(lambda h, t: ad.constant(np.full((1, 1), 1.6e307)),
-                           h0, 0.0, 8.0, 4, method)
-    assert fused.value.t == unrolled.value.t == 6.0
+    assert err.value.t == 6.0
 
 
 @pytest.mark.parametrize("field,needle", [

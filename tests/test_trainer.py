@@ -119,20 +119,6 @@ def test_training_diverged():
         train(bundle, series, TrainConfig(epochs=1, batch=8))
 
 
-def test_freeze_prefixes():
-    series = _class_series()
-    bundle = _tiny_bundle()
-    before = {n: bundle.store.value(n).copy() for n in bundle.store.names()}
-    cfg = TrainConfig(epochs=1, batch=8, lr=1e-2, seed=0,
-                      freeze_prefixes=("ctrl.",))
-    train(bundle, series, cfg)
-    for n in bundle.store.names():
-        if n.startswith("ctrl."):
-            np.testing.assert_array_equal(bundle.store.value(n), before[n])
-        elif n.startswith("enc."):
-            assert not np.array_equal(bundle.store.value(n), before[n])
-
-
 def test_too_short_series_rejected():
     t = np.array([0.0, 1.0])
     series = [TimeSeries(t, np.zeros(2), label=0)]
